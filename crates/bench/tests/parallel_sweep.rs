@@ -1,30 +1,35 @@
-//! Differential tests for the parallel full-fidelity sweep executor.
+//! Differential tests for the parallel figure sweep.
 //!
-//! The executor's contract is that `--threads` is *invisible* in every
+//! The sweep's contract is that `--threads` is *invisible* in every
 //! measured artifact: tables, `--json` reports (including epoch
 //! time-series), and Chrome traces must be byte-identical whether the
 //! (kernel × machine) matrix ran on one worker or many. These tests run
 //! the fig09 smoke configuration (all 12 kernels, baseline + dx100, full
-//! observability) serially and on four workers and compare the serialized
-//! artifacts byte for byte, then repeat the row comparison with DMP
-//! included (the fig12 matrix shape).
+//! observability) through [`run_figure`] serially and on four workers and
+//! compare the serialized artifacts byte for byte, then repeat the row
+//! comparison with DMP included (the fig12 matrix shape).
 
-use dx100_bench::{report_json, run_all_threaded, trace_json, BenchArgs, KernelRow};
+use std::path::PathBuf;
+
+use dx100_bench::{report_json, run_figure, trace_json, BenchArgs, FigureRun, KernelRow};
 use dx100_sim::report::run_stats_json;
-use dx100_sim::ObservabilityConfig;
 
 /// Minimum dataset sizes: every kernel runs, nothing takes long in debug.
 const SMOKE_SCALE: f64 = 1e-9;
-const SEED: u64 = 1;
 
 /// Full observability, so the comparison covers trace event streams and
-/// epoch series, not just end-of-run counters.
-fn obs() -> ObservabilityConfig {
-    ObservabilityConfig {
-        trace: true,
-        epoch_cycles: Some(5000),
-        ..ObservabilityConfig::default()
-    }
+/// epoch series, not just end-of-run counters. `run_figure` only reads
+/// whether a trace was requested; nothing is written to the path.
+fn sweep(threads: usize, with_dmp: bool) -> FigureRun {
+    let args = BenchArgs {
+        scale: SMOKE_SCALE,
+        trace: Some(PathBuf::from("unused-trace.json")),
+        epoch: Some(5000),
+        threads,
+        seed: 1,
+        ..BenchArgs::default()
+    };
+    run_figure(&args, with_dmp)
 }
 
 fn row_fingerprint(r: &KernelRow) -> String {
@@ -45,8 +50,8 @@ fn row_fingerprint(r: &KernelRow) -> String {
 
 #[test]
 fn full_sweep_is_bit_identical_for_any_thread_count() {
-    let serial = run_all_threaded(SMOKE_SCALE, false, SEED, &obs(), 1);
-    let parallel = run_all_threaded(SMOKE_SCALE, false, SEED, &obs(), 4);
+    let serial = sweep(1, false).rows;
+    let parallel = sweep(4, false).rows;
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -67,8 +72,8 @@ fn full_sweep_is_bit_identical_for_any_thread_count() {
 fn dmp_sweep_rows_are_thread_count_invariant() {
     // The fig12 shape: three machines per kernel, so job order inside a
     // kernel (baseline, dx100, dmp) is exercised too.
-    let serial = run_all_threaded(SMOKE_SCALE, true, SEED, &obs(), 1);
-    let parallel = run_all_threaded(SMOKE_SCALE, true, SEED, &obs(), 3);
+    let serial = sweep(1, true).rows;
+    let parallel = sweep(3, true).rows;
     for (s, p) in serial.iter().zip(&parallel) {
         assert!(s.dmp.is_some(), "{}: dmp machine missing", s.name);
         assert_eq!(row_fingerprint(s), row_fingerprint(p), "{}", s.name);
@@ -82,7 +87,7 @@ fn figure_run_walltime_is_per_job_and_ordered() {
         threads: 4,
         ..BenchArgs::default()
     };
-    let fig = dx100_bench::run_figure(&args, false);
+    let fig = run_figure(&args, false);
     // One walltime entry per (kernel × machine) job, in job order:
     // kernel-major, baseline before dx100.
     assert_eq!(fig.walltime.len(), fig.rows.len() * 2);
@@ -96,7 +101,6 @@ fn figure_run_walltime_is_per_job_and_ordered() {
         assert!(pair[0].seconds >= 0.0 && pair[0].seconds <= fig.total_seconds);
         assert!(pair[1].seconds >= 0.0 && pair[1].seconds <= fig.total_seconds);
     }
-    assert_eq!(fig.mode, "full");
     assert_eq!(fig.threads, 4);
     let wt = fig.walltime_json("fig09").to_string();
     let parsed = dx100_common::json::Json::parse(&wt).unwrap();
@@ -112,4 +116,12 @@ fn figure_run_walltime_is_per_job_and_ordered() {
             .and_then(dx100_common::json::Json::as_f64),
         Some(fig.walltime.len() as f64)
     );
+    assert!(parsed
+        .get("entries")
+        .and_then(dx100_common::json::Json::as_arr)
+        .is_some());
+    assert!(parsed
+        .get("total_seconds")
+        .and_then(dx100_common::json::Json::as_f64)
+        .is_some());
 }

@@ -7,7 +7,7 @@
 //! ([`value`]), a deterministic [`DelayQueue`] used to model fixed-latency
 //! links, lightweight statistics helpers ([`stats`]), batch-exact
 //! cycle-attribution primitives ([`profile`]), the deterministic
-//! worker [`pool`] that parallel figure sweeps and sampled replay share,
+//! worker [`pool`]s behind the parallel figure sweeps and the job daemon,
 //! the observability layer's event tracing ([`trace`]), its
 //! dependency-free JSON value ([`json`]), and the stable content hash
 //! ([`hash`]) the serving layer keys its result cache by.
@@ -25,7 +25,6 @@
 //! assert_eq!(value::to_f32(sum), 3.75);
 //! ```
 
-pub mod checkpoint;
 pub mod flags;
 pub mod hash;
 pub mod json;
@@ -37,7 +36,6 @@ pub mod trace;
 pub mod types;
 pub mod value;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use profile::{Counter, OccAccum, Pow2Histogram};
 pub use queue::DelayQueue;
 pub use trace::{SpanTracker, TraceBuffer, TraceHandle};

@@ -111,18 +111,6 @@ pub struct Dx100Engine {
 /// (`drain`).
 const PHASE_NAMES: [&str; 3] = ["fill", "issue", "drain"];
 
-impl dx100_common::Checkpoint for Dx100Engine {
-    type State = Dx100Engine;
-
-    fn save(&self) -> Result<Self::State, dx100_common::CheckpointError> {
-        Ok(self.clone())
-    }
-
-    fn restore(&mut self, state: &Self::State) {
-        *self = state.clone();
-    }
-}
-
 impl Dx100Engine {
     /// Builds an engine whose Row Table mirrors `dram`'s bank geometry.
     pub fn new(cfg: Dx100Config, dram: &DramConfig) -> Self {

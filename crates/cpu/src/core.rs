@@ -6,9 +6,9 @@ use std::collections::{HashMap, VecDeque};
 use dx100_common::flags::{FlagBoard, FlagId};
 use dx100_common::{Addr, CoreId, Cycle, DelayQueue, SpanTracker, TraceHandle};
 
-use crate::channel::{ChannelQueue, SegmentState};
+use crate::channel::ChannelQueue;
 use crate::config::CoreConfig;
-use crate::op::{CoreOp, OpStreamKind, VecStream};
+use crate::op::{CoreOp, OpStreamKind};
 use crate::profile::CoreProfile;
 use crate::stats::CoreStats;
 
@@ -141,83 +141,6 @@ struct WaitState {
     next_poll_at: Cycle,
 }
 
-/// Saved form of a core's op stream, mirroring [`OpStreamKind`] variant
-/// for variant. Channel segments capture queued generators via
-/// [`crate::OpStream::try_clone`], including any ops already batched out
-/// of a live generator.
-pub enum StreamState {
-    /// No op source.
-    Empty,
-    /// A pre-built vector stream at its current position.
-    Vec(VecStream),
-    /// A channel's queued segments.
-    Channel(Vec<SegmentState>),
-}
-
-impl std::fmt::Debug for StreamState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamState::Empty => f.write_str("Empty"),
-            StreamState::Vec(_) => f.write_str("Vec"),
-            StreamState::Channel(segs) => write!(f, "Channel({} segments)", segs.len()),
-        }
-    }
-}
-
-/// A [`Core`]'s saved execution state (see [`Checkpoint`]).
-///
-/// Mirrors every field of [`Core`] except the configuration (the restore
-/// target must be built with an equivalent one) and the trace sink (the
-/// restore target keeps its own). The op stream — channel contents
-/// included, now that cores own their channels — is captured as a
-/// [`StreamState`].
-pub struct CoreState {
-    stream: StreamState,
-    stream_done: bool,
-    peeked: Option<CoreOp>,
-    rob: VecDeque<Entry>,
-    head_seq: u64,
-    next_seq: u64,
-    lq_used: usize,
-    sq_used: usize,
-    waiters: HashMap<u64, Vec<u64>>,
-    ready_mem: VecDeque<u64>,
-    internal_done: DelayQueue<u64>,
-    waiting_flag: Option<WaitState>,
-    atomic_pending: bool,
-    mem_inflight: usize,
-    mmio_signals: Vec<u32>,
-    stats: CoreStats,
-    profile: Option<CoreProfile>,
-    stall_spans: [SpanTracker; 4],
-    prev_stalls: [u64; 4],
-}
-
-impl std::fmt::Debug for CoreState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoreState")
-            .field("rob_occupancy", &self.rob.len())
-            .field("head_seq", &self.head_seq)
-            .field("stream_done", &self.stream_done)
-            .field("stream", &self.stream)
-            .finish()
-    }
-}
-
-impl dx100_common::Checkpoint for Core {
-    type State = CoreState;
-
-    /// Fails with [`CheckpointError::UnclonableStream`] when a generator
-    /// queued in the core's channel does not support cloning.
-    fn save(&self) -> Result<CoreState, dx100_common::CheckpointError> {
-        self.save_state()
-    }
-
-    fn restore(&mut self, state: &CoreState) {
-        self.restore_state(state);
-    }
-}
-
 impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
@@ -230,8 +153,9 @@ impl std::fmt::Debug for Core {
 }
 
 impl Core {
-    /// Creates a core that will execute `stream` (a [`VecStream`], a
-    /// `Vec<CoreOp>`, a [`ChannelQueue`], or [`OpStreamKind`] directly).
+    /// Creates a core that will execute `stream` (a
+    /// [`VecStream`](crate::VecStream), a `Vec<CoreOp>`, a [`ChannelQueue`],
+    /// or [`OpStreamKind`] directly).
     pub fn new(id: CoreId, cfg: CoreConfig, stream: impl Into<OpStreamKind>) -> Self {
         let stream = stream.into();
         Core {
@@ -290,69 +214,6 @@ impl Core {
     /// This core's identifier.
     pub fn id(&self) -> CoreId {
         self.id
-    }
-
-    /// Captures this core's execution state, op stream included. Fails with
-    /// [`CheckpointError`](dx100_common::CheckpointError) only when a
-    /// generator queued in a channel does not support [`try_clone`]
-    /// (`OpStream::try_clone`).
-    ///
-    /// [`try_clone`]: crate::OpStream::try_clone
-    pub fn save_state(&self) -> Result<CoreState, dx100_common::CheckpointError> {
-        let stream = match &self.stream {
-            OpStreamKind::Empty => StreamState::Empty,
-            OpStreamKind::Vec(v) => StreamState::Vec(v.clone()),
-            OpStreamKind::Channel(c) => StreamState::Channel(c.save_segments()?),
-        };
-        Ok(CoreState {
-            stream,
-            stream_done: self.stream_done,
-            peeked: self.peeked,
-            rob: self.rob.clone(),
-            head_seq: self.head_seq,
-            next_seq: self.next_seq,
-            lq_used: self.lq_used,
-            sq_used: self.sq_used,
-            waiters: self.waiters.clone(),
-            ready_mem: self.ready_mem.clone(),
-            internal_done: self.internal_done.clone(),
-            waiting_flag: self.waiting_flag,
-            atomic_pending: self.atomic_pending,
-            mem_inflight: self.mem_inflight,
-            mmio_signals: self.mmio_signals.clone(),
-            stats: self.stats.clone(),
-            profile: self.profile,
-            stall_spans: self.stall_spans,
-            prev_stalls: self.prev_stalls,
-        })
-    }
-
-    /// Restores a state saved by [`Core::save_state`]: the saved stream
-    /// (channel contents included) replaces the current one.
-    pub fn restore_state(&mut self, s: &CoreState) {
-        self.stream = match &s.stream {
-            StreamState::Empty => OpStreamKind::Empty,
-            StreamState::Vec(v) => OpStreamKind::Vec(v.clone()),
-            StreamState::Channel(segs) => OpStreamKind::Channel(ChannelQueue::from_saved(segs)),
-        };
-        self.stream_done = s.stream_done;
-        self.peeked = s.peeked;
-        self.rob = s.rob.clone();
-        self.head_seq = s.head_seq;
-        self.next_seq = s.next_seq;
-        self.lq_used = s.lq_used;
-        self.sq_used = s.sq_used;
-        self.waiters = s.waiters.clone();
-        self.ready_mem = s.ready_mem.clone();
-        self.internal_done = s.internal_done.clone();
-        self.waiting_flag = s.waiting_flag;
-        self.atomic_pending = s.atomic_pending;
-        self.mem_inflight = s.mem_inflight;
-        self.mmio_signals = s.mmio_signals.clone();
-        self.stats = s.stats.clone();
-        self.profile = s.profile;
-        self.stall_spans = s.stall_spans;
-        self.prev_stalls = s.prev_stalls;
     }
 
     /// Replaces the op stream (used when a workload phase hands a core a new

@@ -109,18 +109,6 @@ pub struct DramSystem {
     responses: std::collections::VecDeque<MemResponse>,
 }
 
-impl dx100_common::Checkpoint for DramSystem {
-    type State = DramSystem;
-
-    fn save(&self) -> Result<Self::State, dx100_common::CheckpointError> {
-        Ok(self.clone())
-    }
-
-    fn restore(&mut self, state: &Self::State) {
-        *self = state.clone();
-    }
-}
-
 impl DramSystem {
     /// Builds the DRAM system for `config`.
     pub fn new(config: DramConfig) -> Self {

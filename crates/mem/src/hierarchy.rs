@@ -61,18 +61,6 @@ const L2_PORTS: usize = 2;
 /// LLC lookup ports (banked/shared across cores and DX100).
 const LLC_PORTS: usize = 4;
 
-impl dx100_common::Checkpoint for MemoryHierarchy {
-    type State = MemoryHierarchy;
-
-    fn save(&self) -> Result<Self::State, dx100_common::CheckpointError> {
-        Ok(self.clone())
-    }
-
-    fn restore(&mut self, state: &Self::State) {
-        *self = state.clone();
-    }
-}
-
 impl MemoryHierarchy {
     /// Builds the hierarchy described by `config`.
     pub fn new(config: HierarchyConfig) -> Self {

@@ -2,10 +2,13 @@
 //!
 //! One file per distinct job config, named by the config's FNV-1a 64 hash
 //! (`<cache-dir>/<16-hex>.json`) and holding the exact report bytes the
-//! first run produced. `SystemCheckpoint` determinism makes those bytes
-//! *the* answer for that config — not an approximation — so a hit is an
-//! O(1) file read serving a byte-identical body, however long ago and on
-//! however many threads the original simulation ran.
+//! first run produced. The simulator is deterministic: a job's report
+//! bytes are fixed by its spec, and the byte-identity gates hold them
+//! fixed across worker-thread counts, cycle skipping on or off, and
+//! profiling on or off. Those bytes are therefore *the* answer for that
+//! config — not an approximation — so a hit is an O(1) file read serving
+//! a byte-identical body, however long ago and on however many threads
+//! the original simulation ran.
 //!
 //! Eviction is size-capped LRU by file mtime: a hit touches the file's
 //! mtime, and when the cache grows past its cap after a write, the

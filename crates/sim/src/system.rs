@@ -760,14 +760,8 @@ impl System {
     /// to per-cycle crediting because a quiescent span's idle classification
     /// is constant — its inputs are frozen until the certificate expires or
     /// is revoked — and all batched samples sit on a dyadic grid.
-    ///
-    /// Public because drivers that checkpoint mid-run must settle before
-    /// calling [`Checkpoint::save`](dx100_common::Checkpoint::save):
-    /// with cycle skipping on, the clock can run ahead of the credited
-    /// stats inside a certified span, and a checkpoint taken there would
-    /// silently drop the span's idle accounting. Settling is idempotent
-    /// and leaves any active skip certificate intact.
-    pub fn settle(&mut self) {
+    /// Settling is idempotent and leaves any active skip certificate intact.
+    fn settle(&mut self) {
         let (from, to) = (self.span_start, self.clock);
         if from >= to {
             return;
@@ -1171,129 +1165,6 @@ impl System {
             epochs: Vec::new(),
             trace: None,
         }
-    }
-}
-
-/// Complete saved state of a [`System`], sufficient to resume simulation
-/// exactly where it left off. `Send`, so one checkpoint can be restored
-/// into many per-thread `System` instances for parallel interval replay.
-pub struct SystemCheckpoint {
-    clock: Cycle,
-    cores: Vec<dx100_cpu::CoreState>,
-    hier: MemoryHierarchy,
-    dram: DramSystem,
-    engines: Vec<Dx100Engine>,
-    dmp: Option<Dmp>,
-    flags: FlagBoard,
-    image: MemoryImage,
-    actions: Vec<Option<MmioAction>>,
-    dram_pending: HashMap<ReqId, DramOrigin>,
-    next_dram_id: ReqId,
-    dram_retry: VecDeque<(MemRequest, DramOrigin)>,
-    spd_fills: DelayQueue<LineAddr>,
-    region: RegionCoherence,
-    host_pages: HashSet<u64>,
-    instr_delivery: Vec<VecDeque<PendingMmio>>,
-    region_pins: HashMap<(usize, u64), Addr>,
-    roi_start: Cycle,
-    roi_snapshot: Option<RunStats>,
-    sampler: Option<EpochSampler>,
-    skipped_cycles: u64,
-    skip_events: u64,
-}
-
-impl SystemCheckpoint {
-    /// Cycle at which this checkpoint was taken.
-    pub fn clock(&self) -> Cycle {
-        self.clock
-    }
-}
-
-/// Compile-time proof that checkpoints can cross replay-thread boundaries
-/// (and be shared from behind an `Arc` by many workers at once).
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SystemCheckpoint>();
-};
-
-impl dx100_common::Checkpoint for System {
-    type State = SystemCheckpoint;
-
-    /// Snapshots the whole machine. Core-side op streams — channel
-    /// contents included, since each core owns its channel — are captured
-    /// as part of the per-core state.
-    fn save(&self) -> Result<SystemCheckpoint, dx100_common::CheckpointError> {
-        // A checkpoint must not be taken while an elided span is pending:
-        // its stats would be missing the span's credit. `run` settles on
-        // exit and `step`/`wake` re-establish the invariant everywhere
-        // else; drivers checkpointing mid-run call `System::settle` first.
-        debug_assert_eq!(
-            self.span_start, self.clock,
-            "checkpoint taken with an unsettled skip span"
-        );
-        Ok(SystemCheckpoint {
-            clock: self.clock,
-            cores: self
-                .cores
-                .iter()
-                .map(|c| c.save_state())
-                .collect::<Result<_, _>>()?,
-            hier: self.hier.clone(),
-            dram: self.dram.clone(),
-            engines: self.engines.clone(),
-            dmp: self.dmp.clone(),
-            flags: self.flags.clone(),
-            image: self.image.clone(),
-            actions: self.actions.clone(),
-            dram_pending: self.dram_pending.clone(),
-            next_dram_id: self.next_dram_id,
-            dram_retry: self.dram_retry.clone(),
-            spd_fills: self.spd_fills.clone(),
-            region: self.region.clone(),
-            host_pages: self.host_pages.clone(),
-            instr_delivery: self.instr_delivery.clone(),
-            region_pins: self.region_pins.clone(),
-            roi_start: self.roi_start,
-            roi_snapshot: self.roi_snapshot.clone(),
-            sampler: self.sampler.clone(),
-            skipped_cycles: self.skipped_cycles,
-            skip_events: self.skip_events,
-        })
-    }
-
-    /// Restores a checkpoint into this system. The system must have been
-    /// built with an equivalent [`SystemConfig`]; its own configuration and
-    /// trace root are kept, everything else — channel contents included —
-    /// is overwritten.
-    fn restore(&mut self, s: &SystemCheckpoint) {
-        self.clock = s.clock;
-        for (core, cs) in self.cores.iter_mut().zip(&s.cores) {
-            core.restore_state(cs);
-        }
-        self.hier = s.hier.clone();
-        self.dram = s.dram.clone();
-        self.engines = s.engines.clone();
-        self.dmp = s.dmp.clone();
-        self.flags = s.flags.clone();
-        self.image = s.image.clone();
-        self.actions = s.actions.clone();
-        self.dram_pending = s.dram_pending.clone();
-        self.next_dram_id = s.next_dram_id;
-        self.dram_retry = s.dram_retry.clone();
-        self.spd_fills = s.spd_fills.clone();
-        self.region = s.region.clone();
-        self.host_pages = s.host_pages.clone();
-        self.instr_delivery = s.instr_delivery.clone();
-        self.region_pins = s.region_pins.clone();
-        self.roi_start = s.roi_start;
-        self.roi_snapshot = s.roi_snapshot.clone();
-        self.sampler = s.sampler.clone();
-        self.skipped_cycles = s.skipped_cycles;
-        self.skip_events = s.skip_events;
-        // The certificate described the pre-restore machine; re-derive it.
-        // The checkpoint was settled at save time, so no span is pending.
-        self.skip_until = 0;
-        self.span_start = self.clock;
     }
 }
 
