@@ -33,6 +33,9 @@ pub struct FlagId(pub usize);
 #[derive(Debug, Clone, Default)]
 pub struct FlagBoard {
     flags: Vec<bool>,
+    /// Bumped on every `set` / `clear`, so a reader can tell cheaply
+    /// whether any flag may have changed since it last looked.
+    generation: u64,
 }
 
 impl FlagBoard {
@@ -61,6 +64,7 @@ impl FlagBoard {
     /// Panics if `id` was not allocated on this board.
     pub fn set(&mut self, id: FlagId) {
         self.flags[id.0] = true;
+        self.generation += 1;
     }
 
     /// Clears a flag (tile reuse across loop iterations).
@@ -69,6 +73,13 @@ impl FlagBoard {
     /// Panics if `id` was not allocated on this board.
     pub fn clear(&mut self, id: FlagId) {
         self.flags[id.0] = false;
+        self.generation += 1;
+    }
+
+    /// Count of `set` / `clear` calls so far: unchanged means no flag
+    /// changed in between.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of allocated flags.

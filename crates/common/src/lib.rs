@@ -9,8 +9,9 @@
 //! cycle-attribution primitives ([`profile`]), the deterministic
 //! worker [`pool`]s behind the parallel figure sweeps and the job daemon,
 //! the observability layer's event tracing ([`trace`]), its
-//! dependency-free JSON value ([`json`]), and the stable content hash
-//! ([`hash`]) the serving layer keys its result cache by.
+//! dependency-free JSON value ([`json`]), and hashing ([`hash`]): the
+//! stable content hash the serving layer keys its result cache by, and
+//! the fast hasher behind the simulator's in-process [`FastMap`]s.
 //!
 //! # Example
 //!
@@ -36,6 +37,7 @@ pub mod trace;
 pub mod types;
 pub mod value;
 
+pub use hash::{FastMap, FastSet};
 pub use profile::{Counter, OccAccum, Pow2Histogram};
 pub use queue::DelayQueue;
 pub use trace::{SpanTracker, TraceBuffer, TraceHandle};

@@ -2,10 +2,12 @@
 //! stream unit, indirect unit, ALU, range fuser, TLB, coherency agent — and
 //! clocked against the memory system through [`MemPorts`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use dx100_common::flags::FlagId;
-use dx100_common::{Addr, Cycle, LineAddr, ReqId, SpanTracker, TraceHandle, CACHE_LINE_BYTES};
+use dx100_common::{
+    Addr, Cycle, FastMap, FastSet, LineAddr, ReqId, SpanTracker, TraceHandle, CACHE_LINE_BYTES,
+};
 use dx100_dram::{AddrMap, DramConfig, Organization};
 
 use crate::alu_unit::AluUnit;
@@ -46,7 +48,7 @@ pub enum UnitTag {
 #[derive(Clone, Debug, Default)]
 pub struct IdAlloc {
     next: ReqId,
-    routes: HashMap<ReqId, UnitTag>,
+    routes: FastMap<ReqId, UnitTag>,
 }
 
 impl IdAlloc {
@@ -90,7 +92,7 @@ pub struct Dx100Engine {
     resp_inbox: VecDeque<ReqId>,
     retired: Vec<(u64, Option<FlagId>)>,
     /// Scratchpad lines the cores have cached (coherency agent V bits).
-    spd_cached: HashSet<LineAddr>,
+    spd_cached: FastSet<LineAddr>,
     stats: Dx100Stats,
     next_handle: u64,
     halted: Option<ExecError>,
@@ -131,7 +133,7 @@ impl Dx100Engine {
             ids: IdAlloc::default(),
             resp_inbox: VecDeque::new(),
             retired: Vec::new(),
-            spd_cached: HashSet::new(),
+            spd_cached: FastSet::default(),
             stats: Dx100Stats::default(),
             next_handle: 0,
             halted: None,
@@ -490,10 +492,7 @@ impl Dx100Engine {
             .fill_step(now, &mut self.spd, ports, &mut self.tlb, &mut self.stats);
         self.indirect
             .request_step(now, ports, &mut self.ids, &mut self.stats, 4);
-        retired.extend(
-            self.indirect
-                .response_step(&mut self.spd, mem, &mut self.stats),
-        );
+        retired.extend(self.indirect.response_step(&mut self.spd, mem));
         retired.extend(self.indirect.poll_retired());
         match self.alu.step(&mut self.spd) {
             Ok(Some(h)) => retired.push(h),
@@ -590,6 +589,10 @@ impl Dx100Engine {
         let first = LineAddr::containing(start);
         let last = LineAddr::containing(end - 1);
         // Only touch lines the coherency agent knows are cached (V bits).
+        // The only iteration over a hot map in the engine, and its order
+        // cannot reach an output: each `invalidate` clears one cache way
+        // for one distinct line (commutative, and its dirty result is
+        // dropped), and the counter below is a sum.
         let cached: Vec<LineAddr> = self
             .spd_cached
             .iter()

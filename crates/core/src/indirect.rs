@@ -19,9 +19,9 @@
 //! to the LLC), and *response* (walk the word list; extract words for ILD,
 //! merge and write back for IST/IRMW).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use dx100_common::{value, Addr, AluOp, Cycle, DType, LineAddr, ReqId};
+use dx100_common::{value, Addr, AluOp, Cycle, DType, FastMap, LineAddr, ReqId};
 use dx100_dram::{AddrMap, Organization};
 
 use crate::config::Dx100Config;
@@ -52,10 +52,14 @@ struct Word {
 /// A column entry: one cache line plus its linked word list.
 #[derive(Clone, Debug)]
 struct ColEntry {
-    /// Unique id, assigned in creation order.
+    /// Unique id, assigned in creation order. Guards queue entries that
+    /// name a column by slot against the slot being reused.
     id: u64,
     job: u64,
     line: LineAddr,
+    /// Slice and row-entry slot holding this column.
+    slice: u32,
+    row_slot: u32,
     /// H bit: line was valid in the cache hierarchy at fill time.
     h: bool,
     sent: bool,
@@ -63,19 +67,42 @@ struct ColEntry {
     words: Vec<Word>,
 }
 
-/// A row entry: one DRAM row within a slice.
-#[derive(Clone, Debug)]
+/// A row entry: up to `cols_per_row_entry` columns of one DRAM row (its
+/// row number is kept beside the slot in [`Slice::rows`]).
+#[derive(Clone, Debug, Default)]
 struct RowEntry {
-    row: u64,
-    cols: Vec<ColEntry>,
+    /// Column slots, in insertion order.
+    cols: Vec<u32>,
+    /// Columns here that are sendable and not yet sent.
+    sendable: u32,
 }
 
 /// One Row Table slice (one DRAM bank).
 #[derive(Clone, Debug, Default)]
 struct Slice {
-    rows: Vec<RowEntry>,
+    /// `(DRAM row, row-entry slot)`, in allocation order (the issue
+    /// priority order). The row numbers sit inline so the per-word row
+    /// search scans one small array.
+    rows: Vec<(u64, u32)>,
     /// The row currently being drained, so its columns issue consecutively.
     active_row: Option<u64>,
+    /// Columns in this slice that are sendable and not yet sent, so the
+    /// request generator passes an empty slice in O(1).
+    sendable: usize,
+    /// Column entries in this slice.
+    cols: usize,
+}
+
+/// The Row Table's view of one line with open column entries.
+#[derive(Clone, Copy, Debug)]
+struct LineOwner {
+    /// The job whose columns hold the line; other jobs wait for them.
+    job: u64,
+    /// Open column entries for the line.
+    cols: usize,
+    /// With coalescing on, the line's one valid, unsent column: the only
+    /// column a further word for the line can coalesce into.
+    unsent: Option<u32>,
 }
 
 #[derive(Clone, Debug)]
@@ -96,7 +123,11 @@ struct IndirectJob {
     /// IST/IRMW: write requests issued and not yet acknowledged.
     writes_outstanding: usize,
     /// IST duplicate-index ordering: last applied iteration per address.
-    last_applied: HashMap<Addr, usize>,
+    last_applied: FastMap<Addr, usize>,
+    /// This job's column entries per slice (the capacity-pressure test).
+    cols_in_slice: Vec<u32>,
+    /// Slots of this job's columns not yet marked sendable.
+    unsendable: Vec<u32>,
 }
 
 impl IndirectJob {
@@ -109,6 +140,15 @@ impl IndirectJob {
 }
 
 /// The timed Indirect Access unit.
+///
+/// Row and column entries live in slot arrays (`row_slots`, `col_slots`)
+/// so queues and in-flight requests name a column by slot instead of
+/// searching for it; the order that decides issue priority is kept
+/// separately, in [`Slice::rows`] and [`RowEntry::cols`]. Counters of
+/// sendable-but-unsent columns (per row entry, per slice, per unit) let the
+/// request generator and the quiescence probe skip empty slices without
+/// walking their entries; [`IndirectUnit::check_index`] re-derives all of
+/// them from the tables in debug builds.
 #[derive(Clone, Debug)]
 pub struct IndirectUnit {
     cfg: Dx100Config,
@@ -116,17 +156,23 @@ pub struct IndirectUnit {
     map: AddrMap,
     jobs: VecDeque<IndirectJob>,
     slices: Vec<Slice>,
+    /// Row-entry slots; free ones are listed in `free_rows`.
+    row_slots: Vec<RowEntry>,
+    free_rows: Vec<u32>,
+    /// Column slots (`None` = free, listed in `free_cols`).
+    col_slots: Vec<Option<ColEntry>>,
+    free_cols: Vec<u32>,
     /// Slice visit order for interleaving (channel fastest, then bank group).
     slice_order: Vec<usize>,
     rr: usize,
     /// Insertion-order issue queue used when reordering is disabled:
-    /// (slice, line) pairs identifying columns.
-    fifo: VecDeque<(usize, LineAddr, u64)>,
+    /// (column slot, column id).
+    fifo: VecDeque<(u32, u64)>,
     next_col_id: u64,
-    /// Read requests in flight: id → (slice index, column id).
-    outstanding: HashMap<ReqId, (usize, u64)>,
+    /// Read requests in flight: id → column slot.
+    outstanding: FastMap<ReqId, u32>,
     /// Write requests in flight: id → job handle.
-    outstanding_writes: HashMap<ReqId, u64>,
+    outstanding_writes: FastMap<ReqId, u64>,
     /// Write-backs waiting for request-buffer space: (line, h, job).
     pending_writes: VecDeque<(LineAddr, bool, u64)>,
     /// Line responses waiting for the Word Modifier.
@@ -136,11 +182,15 @@ pub struct IndirectUnit {
     /// a second job touching the same line stalls until the first job's
     /// column completes, preserving cross-instruction program order on
     /// same-address accesses.
-    line_owners: HashMap<LineAddr, (u64, usize)>,
+    line_owners: FastMap<LineAddr, LineOwner>,
     /// Running count of column entries across all slices, so the per-cycle
     /// queue-depth probes ([`IndirectUnit::buffered_columns`]) are O(1)
     /// instead of walking the whole Row Table.
     buffered_cols: usize,
+    /// Sendable, unsent columns across all slices.
+    sendable_cols: usize,
+    /// Slices whose `active_row` is set.
+    active_slices: usize,
 }
 
 impl IndirectUnit {
@@ -167,17 +217,23 @@ impl IndirectUnit {
             map,
             jobs: VecDeque::new(),
             slices: (0..num_slices).map(|_| Slice::default()).collect(),
+            row_slots: Vec::new(),
+            free_rows: Vec::new(),
+            col_slots: Vec::new(),
+            free_cols: Vec::new(),
             slice_order,
             rr: 0,
             fifo: VecDeque::new(),
             next_col_id: 0,
-            outstanding: HashMap::new(),
-            outstanding_writes: HashMap::new(),
+            outstanding: FastMap::default(),
+            outstanding_writes: FastMap::default(),
             pending_writes: VecDeque::new(),
             resp_queue: VecDeque::new(),
             fill_stall_until: 0,
-            line_owners: HashMap::new(),
+            line_owners: FastMap::default(),
             buffered_cols: 0,
+            sendable_cols: 0,
+            active_slices: 0,
         }
     }
 
@@ -221,7 +277,9 @@ impl IndirectUnit {
             pending_elems: 0,
             open_cols: 0,
             writes_outstanding: 0,
-            last_applied: HashMap::new(),
+            last_applied: FastMap::default(),
+            cols_in_slice: vec![0; self.slices.len()],
+            unsendable: Vec::new(),
         });
     }
 
@@ -312,20 +370,13 @@ impl IndirectUnit {
             // and is not yet sendable (a sent or stale head would be popped).
             return match self.fifo.front() {
                 None => true,
-                Some(&(slice_idx, _, col_id)) => self
-                    .col_by_id(slice_idx, col_id)
-                    .is_some_and(|c| !c.sent && !c.sendable),
+                Some(&(slot, id)) => self.col(slot, id).is_some_and(|c| !c.sent && !c.sendable),
             };
         }
         // Reorder mode: `pick_in_slice` clears a stale active row (a
         // mutation), so quiescence needs every slice settled with nothing
         // sendable left unsent.
-        self.slices.iter().all(|s| {
-            s.active_row.is_none()
-                && s.rows
-                    .iter()
-                    .all(|r| r.cols.iter().all(|c| c.sent || !c.sendable))
-        })
+        self.active_slices == 0 && self.sendable_cols == 0
     }
 
     /// Requests still draining: in-flight reads/writes plus responses queued
@@ -340,36 +391,112 @@ impl IndirectUnit {
     pub fn buffered_columns(&self) -> usize {
         debug_assert_eq!(
             self.buffered_cols,
-            self.slices
-                .iter()
-                .map(|s| s.rows.iter().map(|r| r.cols.len()).sum::<usize>())
-                .sum::<usize>(),
+            self.table_cols().count(),
             "buffered-column count drifted from the Row Table"
         );
         self.buffered_cols
     }
 
+    /// Every column entry in the Row Table, slice by slice in table order.
+    fn table_cols(&self) -> impl Iterator<Item = &ColEntry> + '_ {
+        self.slices
+            .iter()
+            .flat_map(|s| s.rows.iter())
+            .flat_map(|&(_, r)| self.row_slots[r as usize].cols.iter())
+            .map(|&c| self.col_slots[c as usize].as_ref().expect("live column"))
+    }
+
+    /// Debug cross-check: every counter and slot index agrees with a full
+    /// scan of the tables. Always returns `true`; a mismatch panics with
+    /// the counter that drifted. Allocation-light, since debug builds run
+    /// it on every engine tick.
+    fn check_index(&self) -> bool {
+        let open = |c: &ColEntry| c.sendable && !c.sent;
+        let job_pos = |job: u64| {
+            self.jobs
+                .iter()
+                .position(|j| j.d.handle == job)
+                .expect("column of a live job")
+        };
+        let mut per_job: Vec<Vec<u32>> = vec![vec![0; self.slices.len()]; self.jobs.len()];
+        let mut unsendable = vec![0usize; self.jobs.len()];
+        let (mut active, mut sendable_cols, mut unsent_cols) = (0, 0, 0);
+        for (s_idx, slice) in self.slices.iter().enumerate() {
+            let (mut cols, mut sendable) = (0, 0);
+            for &(_, r) in &slice.rows {
+                let row = &self.row_slots[r as usize];
+                let mut row_sendable = 0;
+                for &c in &row.cols {
+                    let col = self.col_slots[c as usize].as_ref().expect("live column");
+                    assert_eq!(
+                        (col.slice as usize, col.row_slot),
+                        (s_idx, r),
+                        "column slot index drifted"
+                    );
+                    row_sendable += open(col) as u32;
+                    let j = job_pos(col.job);
+                    per_job[j][s_idx] += 1;
+                    unsendable[j] += !col.sendable as usize;
+                    unsent_cols += !col.sent as usize;
+                }
+                assert_eq!(
+                    row.sendable, row_sendable,
+                    "row-entry sendable count drifted"
+                );
+                cols += row.cols.len();
+                sendable += row_sendable as usize;
+            }
+            assert_eq!(slice.cols, cols, "slice column count drifted");
+            assert_eq!(slice.sendable, sendable, "slice sendable count drifted");
+            active += slice.active_row.is_some() as usize;
+            sendable_cols += sendable;
+        }
+        assert_eq!(self.active_slices, active, "active-slice count drifted");
+        assert_eq!(
+            self.sendable_cols, sendable_cols,
+            "sendable-column count drifted"
+        );
+        if self.cfg.coalesce {
+            // Each indexed column is a distinct unsent column of its line
+            // (distinct lines), so equal counts make the index exact.
+            let mut indexed = 0;
+            for (line, owner) in &self.line_owners {
+                let Some(c) = owner.unsent else { continue };
+                let col = self.col_slots[c as usize].as_ref().expect("live column");
+                assert!(
+                    col.line == *line && col.job == owner.job && !col.sent,
+                    "coalescing column index drifted"
+                );
+                indexed += 1;
+            }
+            assert_eq!(indexed, unsent_cols, "coalescing column index drifted");
+        }
+        for (j, job) in self.jobs.iter().enumerate() {
+            assert_eq!(
+                job.cols_in_slice, per_job[j],
+                "per-job slice column count drifted"
+            );
+            assert_eq!(
+                job.unsendable.len(),
+                unsendable[j],
+                "unsendable-column list drifted"
+            );
+            for &c in &job.unsendable {
+                let col = self.col_slots[c as usize].as_ref().expect("live column");
+                assert!(
+                    col.job == job.d.handle && !col.sendable,
+                    "unsendable list drifted"
+                );
+            }
+        }
+        true
+    }
+
     /// Diagnostic summary of internal occupancy.
     pub fn debug_state(&self) -> String {
-        let cols: usize = self
-            .slices
-            .iter()
-            .map(|s| s.rows.iter().map(|r| r.cols.len()).sum::<usize>())
-            .sum();
-        let unsent: usize = self
-            .slices
-            .iter()
-            .flat_map(|s| s.rows.iter())
-            .flat_map(|r| r.cols.iter())
-            .filter(|c| !c.sent)
-            .count();
-        let sendable: usize = self
-            .slices
-            .iter()
-            .flat_map(|s| s.rows.iter())
-            .flat_map(|r| r.cols.iter())
-            .filter(|c| c.sendable && !c.sent)
-            .count();
+        let cols = self.table_cols().count();
+        let unsent = self.table_cols().filter(|c| !c.sent).count();
+        let sendable = self.table_cols().filter(|c| c.sendable && !c.sent).count();
         format!(
             "jobs={} cols={} unsent={} sendable={} fifo={} outstanding={} owrites={} pwrites={} resps={} owners={}",
             self.jobs.len(), cols, unsent, sendable, self.fifo.len(),
@@ -415,8 +542,7 @@ impl IndirectUnit {
             let n = job.n.unwrap();
             if job.next >= n {
                 job.fill_done = true;
-                let handle = job.d.handle;
-                self.mark_job_sendable(handle);
+                self.mark_job_sendable(job_idx);
                 return;
             }
             let i = job.next;
@@ -455,13 +581,12 @@ impl IndirectUnit {
             let coord = self.map.decode(line, &self.org);
             let slice_idx =
                 coord.channel * self.org.banks_per_channel() + coord.bank_index(&self.org);
-            let handle = self.jobs[job_idx].d.handle;
             if !self.insert_word(
                 slice_idx,
                 coord.row,
                 line,
                 Word { i, addr },
-                handle,
+                job_idx,
                 ports,
                 stats,
             ) {
@@ -472,17 +597,14 @@ impl IndirectUnit {
                 // reordered issue. Only when the slice is full of the
                 // current tile's own columns do we start draining it early
                 // (the paper's capacity-pressure rule).
-                let own_pressure = self.slices[slice_idx]
-                    .rows
-                    .iter()
-                    .flat_map(|r| r.cols.iter())
-                    .all(|c| c.job == handle);
+                let own_pressure = self.jobs[job_idx].cols_in_slice[slice_idx] as usize
+                    == self.slices[slice_idx].cols;
                 if own_pressure {
                     // "...or the Row Table reaches capacity": the capacity
                     // trigger drains the *whole table*, so the request
                     // generator sees an even, fully interleavable supply
                     // rather than just the slice the fill happened to jam.
-                    self.mark_job_sendable(handle);
+                    self.mark_job_sendable(job_idx);
                 }
                 stats.rowtable_stall_cycles += 1;
                 return;
@@ -491,8 +613,9 @@ impl IndirectUnit {
         }
     }
 
-    /// Inserts one word; returns false when the slice is full or the line
-    /// is pinned by an earlier instruction's outstanding column.
+    /// Inserts one word for the job at `job_idx`; returns false when the
+    /// slice is full or the line is pinned by an earlier instruction's
+    /// outstanding column.
     #[allow(clippy::too_many_arguments)]
     fn insert_word(
         &mut self,
@@ -500,35 +623,37 @@ impl IndirectUnit {
         row: u64,
         line: LineAddr,
         word: Word,
-        job: u64,
+        job_idx: usize,
         ports: &mut dyn MemPorts,
         stats: &mut Dx100Stats,
     ) -> bool {
+        let job = self.jobs[job_idx].d.handle;
         // Cross-instruction same-line ordering: wait for the earlier job's
         // column to complete before touching the line.
-        if let Some(&(owner, _)) = self.line_owners.get(&line) {
-            if owner != job {
+        if let Some(owner) = self.line_owners.get(&line) {
+            if owner.job != job {
                 return false;
             }
-        }
-        let cols_cap = self.cfg.cols_per_row_entry;
-        let rows_cap = self.cfg.rows_per_slice;
-        let slice = &mut self.slices[slice_idx];
-        if self.cfg.coalesce {
-            // Find a valid, unsent column for the same line and job.
-            for r in slice.rows.iter_mut().filter(|r| r.row == row) {
-                if let Some(col) = r
-                    .cols
-                    .iter_mut()
-                    .find(|c| !c.sent && c.line == line && c.job == job)
-                {
-                    col.words.push(word);
-                    stats.words_coalesced += 1;
-                    return true;
-                }
+            // Coalesce into the line's valid, unsent column, if any.
+            if let Some(c) = owner.unsent {
+                self.col_slots[c as usize]
+                    .as_mut()
+                    .expect("live column")
+                    .words
+                    .push(word);
+                stats.words_coalesced += 1;
+                return true;
             }
         }
-        // Need a new column entry: find a row entry with space.
+        // The first entry for this row with space for a new column.
+        let cols_cap = self.cfg.cols_per_row_entry;
+        let space = self.slices[slice_idx]
+            .rows
+            .iter()
+            .find(|&&(r_val, r)| r_val == row && self.row_slots[r as usize].cols.len() < cols_cap)
+            .map(|&(_, r)| r);
+        // Need a new column entry. The snoop happens (and is counted) even
+        // when the slice then turns out to be full.
         let h = if self.cfg.direct_dram {
             let hit = ports.snoop(line);
             if hit {
@@ -540,58 +665,76 @@ impl IndirectUnit {
         } else {
             true // LLC-injection mode: everything goes through the cache
         };
+        let row_slot = match space {
+            Some(r) => r,
+            None if self.slices[slice_idx].rows.len() >= self.cfg.rows_per_slice => return false,
+            None => {
+                let r = alloc_slot(
+                    &mut self.row_slots,
+                    &mut self.free_rows,
+                    RowEntry::default(),
+                );
+                debug_assert!({
+                    let entry = &self.row_slots[r as usize];
+                    entry.cols.is_empty() && entry.sendable == 0
+                });
+                self.slices[slice_idx].rows.push((row, r));
+                r
+            }
+        };
         let col_id = self.next_col_id;
         self.next_col_id += 1;
+        let sendable = !self.cfg.reorder;
         let col = ColEntry {
             id: col_id,
             job,
             line,
+            slice: slice_idx as u32,
+            row_slot,
             h,
             sent: false,
-            sendable: !self.cfg.reorder,
+            sendable,
             words: vec![word],
         };
-        if let Some(r) = slice
-            .rows
-            .iter_mut()
-            .find(|r| r.row == row && r.cols.len() < cols_cap)
-        {
-            r.cols.push(col);
-        } else {
-            if slice.rows.len() >= rows_cap {
-                self.next_col_id -= 1; // roll back the unused id
-                return false;
-            }
-            slice.rows.push(RowEntry {
-                row,
-                cols: vec![col],
-            });
-        }
+        let c = alloc_slot(&mut self.col_slots, &mut self.free_cols, Some(col));
+        self.row_slots[row_slot as usize].cols.push(c);
+        let slice = &mut self.slices[slice_idx];
+        slice.cols += 1;
         self.buffered_cols += 1;
-        if !self.cfg.reorder {
-            self.fifo.push_back((slice_idx, line, col_id));
-        }
-        let owner = self.line_owners.entry(line).or_insert((job, 0));
-        owner.1 += 1;
-        let job_entry = self
-            .jobs
-            .iter_mut()
-            .find(|j| j.d.handle == job)
-            .expect("job for inserted word");
+        let job_entry = &mut self.jobs[job_idx];
+        job_entry.cols_in_slice[slice_idx] += 1;
         job_entry.open_cols += 1;
+        if sendable {
+            self.row_slots[row_slot as usize].sendable += 1;
+            slice.sendable += 1;
+            self.sendable_cols += 1;
+            self.fifo.push_back((c, col_id));
+        } else {
+            job_entry.unsendable.push(c);
+        }
+        let owner = self.line_owners.entry(line).or_insert(LineOwner {
+            job,
+            cols: 0,
+            unsent: None,
+        });
+        owner.cols += 1;
+        if self.cfg.coalesce {
+            debug_assert!(owner.unsent.is_none(), "two unsent columns for one line");
+            owner.unsent = Some(c);
+        }
         true
     }
 
-    /// Marks every column of `job` sendable (tile fill complete).
-    fn mark_job_sendable(&mut self, job: u64) {
-        for slice in &mut self.slices {
-            for row in &mut slice.rows {
-                for col in &mut row.cols {
-                    if col.job == job {
-                        col.sendable = true;
-                    }
-                }
-            }
+    /// Marks every column of the job at `job_idx` sendable (tile fill
+    /// complete, or capacity pressure).
+    fn mark_job_sendable(&mut self, job_idx: usize) {
+        for c in self.jobs[job_idx].unsendable.drain(..) {
+            let col = self.col_slots[c as usize].as_mut().expect("live column");
+            debug_assert!(!col.sendable && !col.sent);
+            col.sendable = true;
+            self.row_slots[col.row_slot as usize].sendable += 1;
+            self.slices[col.slice as usize].sendable += 1;
+            self.sendable_cols += 1;
         }
     }
 
@@ -605,6 +748,7 @@ impl IndirectUnit {
         stats: &mut Dx100Stats,
         requests_per_cycle: usize,
     ) {
+        debug_assert!(self.check_index());
         let mut budget = requests_per_cycle;
         // Writes first: they hold job retirement.
         while budget > 0 {
@@ -632,19 +776,16 @@ impl IndirectUnit {
             return;
         }
         while budget > 0 {
-            let Some((slice_idx, col_id)) = self.pick_column() else {
+            let Some(c) = self.pick_column() else {
                 break;
             };
-            let (line, h) = {
-                let col = self.col_by_id(slice_idx, col_id).expect("picked column");
-                (col.line, col.h)
-            };
+            let col = self.col_slots[c as usize].as_mut().expect("picked column");
             let id = ids.alloc(UnitTag::IndirectRead);
-            let accepted = if h {
-                ports.llc_request(id, line, false, now);
+            let accepted = if col.h {
+                ports.llc_request(id, col.line, false, now);
                 true
             } else {
-                ports.dram_try_request(id, line, false, now)
+                ports.dram_try_request(id, col.line, false, now)
             };
             if !accepted {
                 ids.cancel(id);
@@ -652,7 +793,7 @@ impl IndirectUnit {
                 if !self.cfg.reorder {
                     // Insertion-order mode popped the candidate; put it
                     // back and retry next cycle (order must hold).
-                    self.fifo.push_front((slice_idx, line, col_id));
+                    self.fifo.push_front((c, col.id));
                     return;
                 }
                 // Rewind the rotation so this column retries next cycle in
@@ -660,10 +801,19 @@ impl IndirectUnit {
                 self.rr = (self.rr + self.slice_order.len() - 1) % self.slice_order.len();
                 return;
             }
-            self.col_by_id_mut(slice_idx, col_id)
-                .expect("picked column")
-                .sent = true;
-            self.outstanding.insert(id, (slice_idx, col_id));
+            col.sent = true;
+            if self.cfg.coalesce {
+                let owner = self
+                    .line_owners
+                    .get_mut(&col.line)
+                    .expect("owner of open line");
+                debug_assert_eq!(owner.unsent, Some(c));
+                owner.unsent = None;
+            }
+            self.row_slots[col.row_slot as usize].sendable -= 1;
+            self.slices[col.slice as usize].sendable -= 1;
+            self.sendable_cols -= 1;
+            self.outstanding.insert(id, c);
             stats.indirect_line_reads += 1;
             budget -= 1;
             if self.outstanding.len() >= self.cfg.indirect_max_inflight {
@@ -673,26 +823,32 @@ impl IndirectUnit {
     }
 
     /// Chooses the next column to issue, honoring the reorder/interleave
-    /// configuration. Returns (slice index, column id).
-    fn pick_column(&mut self) -> Option<(usize, u64)> {
+    /// configuration. Returns the column's slot.
+    fn pick_column(&mut self) -> Option<u32> {
         if !self.cfg.reorder {
             // Strict insertion order.
-            while let Some(&(slice_idx, line, col_id)) = self.fifo.front() {
-                let _ = line;
-                if self
-                    .col_by_id(slice_idx, col_id)
-                    .is_some_and(|c| !c.sent && c.sendable)
-                {
-                    self.fifo.pop_front();
-                    return Some((slice_idx, col_id));
+            while let Some(&(c, id)) = self.fifo.front() {
+                match self.col(c, id) {
+                    Some(col) if !col.sent && !col.sendable => return None, // not yet
+                    Some(col) if !col.sent => {
+                        self.fifo.pop_front();
+                        return Some(c);
+                    }
+                    _ => {
+                        self.fifo.pop_front(); // stale or already sent
+                    }
                 }
-                if self.col_by_id(slice_idx, col_id).is_none()
-                    || self.col_by_id(slice_idx, col_id).is_some_and(|c| c.sent)
-                {
-                    self.fifo.pop_front();
-                    continue;
+            }
+            return None;
+        }
+        if self.sendable_cols == 0 {
+            // Every slice would be visited and found empty, which clears
+            // each active row along the way.
+            if self.active_slices > 0 {
+                for slice in &mut self.slices {
+                    slice.active_row = None;
                 }
-                return None; // head not sendable yet
+                self.active_slices = 0;
             }
             return None;
         }
@@ -700,7 +856,7 @@ impl IndirectUnit {
         for step in 0..num {
             let pos = (self.rr + step) % num;
             let slice_idx = self.slice_order[pos];
-            if let Some(col_id) = self.pick_in_slice(slice_idx) {
+            if let Some(c) = self.pick_in_slice(slice_idx) {
                 if self.cfg.interleave {
                     // Advance past this slice so the next request goes to a
                     // different channel / bank group.
@@ -709,7 +865,7 @@ impl IndirectUnit {
                     // Stay on this slice until it drains completely.
                     self.rr = pos;
                 }
-                return Some((slice_idx, col_id));
+                return Some(c);
             }
         }
         None
@@ -717,49 +873,44 @@ impl IndirectUnit {
 
     /// Finds the next sendable column in a slice, staying on the active row
     /// until it is fully issued (row-buffer locality).
-    fn pick_in_slice(&mut self, slice_idx: usize) -> Option<u64> {
+    fn pick_in_slice(&mut self, slice_idx: usize) -> Option<u32> {
         let slice = &mut self.slices[slice_idx];
+        if slice.sendable == 0 {
+            // Nothing to issue: the scan below would clear the active row
+            // and find no other.
+            if slice.active_row.take().is_some() {
+                self.active_slices -= 1;
+            }
+            return None;
+        }
         if let Some(active) = slice.active_row {
-            if let Some(id) = find_unsent(slice, active) {
-                return Some(id);
+            if let Some(c) = find_unsent(slice, active, &self.row_slots, &self.col_slots) {
+                return Some(c);
             }
             slice.active_row = None;
+            self.active_slices -= 1;
         }
         // Pick the first row with any sendable, unsent column.
-        let row_val = slice.rows.iter().find_map(|r| {
-            r.cols
-                .iter()
-                .any(|c| c.sendable && !c.sent)
-                .then_some(r.row)
-        })?;
-        slice.active_row = Some(row_val);
-        find_unsent(slice, row_val)
-    }
-
-    fn col_by_id(&self, slice_idx: usize, col_id: u64) -> Option<&ColEntry> {
-        self.slices[slice_idx]
+        let row_val = slice
             .rows
             .iter()
-            .flat_map(|r| r.cols.iter())
-            .find(|c| col_matches(c, col_id))
+            .find(|&&(_, r)| self.row_slots[r as usize].sendable > 0)
+            .map(|&(row, _)| row)?;
+        slice.active_row = Some(row_val);
+        self.active_slices += 1;
+        find_unsent(slice, row_val, &self.row_slots, &self.col_slots)
     }
 
-    fn col_by_id_mut(&mut self, slice_idx: usize, col_id: u64) -> Option<&mut ColEntry> {
-        self.slices[slice_idx]
-            .rows
-            .iter_mut()
-            .flat_map(|r| r.cols.iter_mut())
-            .find(|c| col_matches(c, col_id))
+    /// The live column in slot `c`, if it still carries id `id`.
+    fn col(&self, c: u32, id: u64) -> Option<&ColEntry> {
+        self.col_slots[c as usize]
+            .as_ref()
+            .filter(|col| col.id == id)
     }
 
     /// Response stage (Word Modifier): walk the word list, produce/merge,
     /// and schedule write-backs.
-    pub fn response_step(
-        &mut self,
-        spd: &mut Scratchpad,
-        mem: &mut MemoryImage,
-        stats: &mut Dx100Stats,
-    ) -> Vec<u64> {
+    pub fn response_step(&mut self, spd: &mut Scratchpad, mem: &mut MemoryImage) -> Vec<u64> {
         let mut retired = Vec::new();
         for _ in 0..self.cfg.responses_per_cycle {
             let Some(id) = self.resp_queue.pop_front() else {
@@ -774,18 +925,17 @@ impl IndirectUnit {
                 }
                 continue;
             }
-            let Some((slice_idx, col_id)) = self.outstanding.remove(&id) else {
+            let Some(c) = self.outstanding.remove(&id) else {
                 debug_assert!(false, "unknown indirect response {id}");
                 continue;
             };
-            let col = self
-                .remove_col(slice_idx, col_id)
-                .expect("column for response");
+            let col = self.remove_col(c);
             let job = self
                 .jobs
                 .iter_mut()
                 .find(|j| j.d.handle == col.job)
                 .expect("job for column");
+            job.cols_in_slice[col.slice as usize] -= 1;
             match job.kind {
                 IndKind::Load { td } => {
                     for w in &col.words {
@@ -825,7 +975,6 @@ impl IndirectUnit {
             if job.done() {
                 retired.push(job.d.handle);
             }
-            let _ = stats;
         }
         // Drop retired jobs from the queue.
         for h in &retired {
@@ -851,44 +1000,69 @@ impl IndirectUnit {
         retired
     }
 
-    fn remove_col(&mut self, slice_idx: usize, col_id: u64) -> Option<ColEntry> {
-        let slice = &mut self.slices[slice_idx];
-        for r_idx in 0..slice.rows.len() {
-            if let Some(c_idx) = slice.rows[r_idx]
-                .cols
-                .iter()
-                .position(|c| col_matches(c, col_id))
-            {
-                let col = slice.rows[r_idx].cols.remove(c_idx);
-                self.buffered_cols -= 1;
-                if slice.rows[r_idx].cols.is_empty() {
-                    slice.rows.remove(r_idx);
-                }
-                if let Some(owner) = self.line_owners.get_mut(&col.line) {
-                    owner.1 -= 1;
-                    if owner.1 == 0 {
-                        self.line_owners.remove(&col.line);
-                    }
-                }
-                return Some(col);
+    /// Removes the (sent) column in slot `c` from the Row Table, freeing
+    /// its row entry when it was the last column there.
+    fn remove_col(&mut self, c: u32) -> ColEntry {
+        let col = self.col_slots[c as usize]
+            .take()
+            .expect("column for response");
+        debug_assert!(col.sent, "only issued columns get responses");
+        self.free_cols.push(c);
+        let slice = &mut self.slices[col.slice as usize];
+        let row = &mut self.row_slots[col.row_slot as usize];
+        let pos = row
+            .cols
+            .iter()
+            .position(|&x| x == c)
+            .expect("column in its row");
+        row.cols.remove(pos);
+        if row.cols.is_empty() {
+            let pos = slice.rows.iter().position(|&(_, r)| r == col.row_slot);
+            slice.rows.remove(pos.expect("row entry in its slice"));
+            self.free_rows.push(col.row_slot);
+        }
+        slice.cols -= 1;
+        self.buffered_cols -= 1;
+        if let Some(owner) = self.line_owners.get_mut(&col.line) {
+            owner.cols -= 1;
+            if owner.cols == 0 {
+                self.line_owners.remove(&col.line);
             }
         }
-        None
+        col
     }
 }
 
-#[inline]
-fn col_matches(c: &ColEntry, id: u64) -> bool {
-    c.id == id
+/// Takes a free slot (or grows the array) and stores `v` there.
+fn alloc_slot<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, v: T) -> u32 {
+    match free.pop() {
+        Some(i) => {
+            slots[i as usize] = v;
+            i
+        }
+        None => {
+            slots.push(v);
+            (slots.len() - 1) as u32
+        }
+    }
 }
 
-/// The first sendable, unsent column id in `row` of `slice`.
-fn find_unsent(slice: &Slice, row: u64) -> Option<u64> {
+/// The first sendable, unsent column slot in `row` of `slice`.
+fn find_unsent(
+    slice: &Slice,
+    row: u64,
+    row_slots: &[RowEntry],
+    col_slots: &[Option<ColEntry>],
+) -> Option<u32> {
     slice
         .rows
         .iter()
-        .filter(|r| r.row == row)
-        .flat_map(|r| r.cols.iter())
-        .find(|c| c.sendable && !c.sent)
-        .map(|c| c.id)
+        .filter(|&&(r_val, _)| r_val == row)
+        .map(|&(_, r)| &row_slots[r as usize])
+        .filter(|r| r.sendable > 0)
+        .flat_map(|r| r.cols.iter().copied())
+        .find(|&c| {
+            let col = col_slots[c as usize].as_ref().expect("live column");
+            col.sendable && !col.sent
+        })
 }

@@ -5,9 +5,9 @@
 //! the LLC via the Cache Interface. A Request-Table (MSHR-like, 128 entries)
 //! tracks outstanding lines and coalesces the elements that share one.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use dx100_common::{Addr, Cycle, DType, LineAddr, ReqId};
+use dx100_common::{Addr, Cycle, DType, FastMap, LineAddr, ReqId};
 
 use crate::controller::DispatchedInstr;
 use crate::engine::{IdAlloc, UnitTag};
@@ -78,8 +78,8 @@ pub struct StreamUnit {
     rate: usize,
     table_cap: usize,
     queue: VecDeque<StreamJob>,
-    outstanding: HashMap<ReqId, LineReq>,
-    inflight_lines: HashMap<LineAddr, ReqId>,
+    outstanding: FastMap<ReqId, LineReq>,
+    inflight_lines: FastMap<LineAddr, ReqId>,
 }
 
 impl StreamUnit {
@@ -90,8 +90,8 @@ impl StreamUnit {
             rate,
             table_cap,
             queue: VecDeque::new(),
-            outstanding: HashMap::new(),
-            inflight_lines: HashMap::new(),
+            outstanding: FastMap::default(),
+            inflight_lines: FastMap::default(),
         }
     }
 

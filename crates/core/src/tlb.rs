@@ -5,9 +5,9 @@
 //! via an API call; a 256-entry TLB then covers 512 MB of data. Misses are
 //! possible for un-preloaded pages and stall the fill stage.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use dx100_common::Addr;
+use dx100_common::{Addr, FastSet};
 
 /// Huge-page size (2 MB).
 const PAGE_SHIFT: u32 = 21;
@@ -15,8 +15,11 @@ const PAGE_SHIFT: u32 = 21;
 /// The accelerator's TLB, FIFO-replaced.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: HashSet<u64>,
+    entries: FastSet<u64>,
     order: VecDeque<u64>,
+    /// The page of the last hit, still resident: consecutive lookups to
+    /// one 2 MB page (the common case) skip the set probe.
+    last_hit: Option<u64>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -26,8 +29,9 @@ impl Tlb {
     /// Creates a TLB with `capacity` huge-page entries.
     pub fn new(capacity: usize) -> Self {
         Tlb {
-            entries: HashSet::new(),
+            entries: FastSet::default(),
             order: VecDeque::new(),
+            last_hit: None,
             capacity,
             hits: 0,
             misses: 0,
@@ -49,8 +53,9 @@ impl Tlb {
     /// and returns `false` so the caller can charge the walk latency.
     pub fn lookup(&mut self, addr: Addr) -> bool {
         let page = addr >> PAGE_SHIFT;
-        if self.entries.contains(&page) {
+        if self.last_hit == Some(page) || self.entries.contains(&page) {
             self.hits += 1;
+            self.last_hit = Some(page);
             true
         } else {
             self.misses += 1;
@@ -60,6 +65,8 @@ impl Tlb {
     }
 
     fn insert(&mut self, page: u64) {
+        // An insert may evict the remembered page.
+        self.last_hit = None;
         if self.entries.insert(page) {
             self.order.push_back(page);
             if self.order.len() > self.capacity {

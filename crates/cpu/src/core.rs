@@ -1,10 +1,10 @@
 //! The out-of-order core engine: in-order dispatch and retire, out-of-order
 //! issue, bounded by ROB/LQ/SQ and the issue widths of Table 3.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dx100_common::flags::{FlagBoard, FlagId};
-use dx100_common::{Addr, CoreId, Cycle, DelayQueue, SpanTracker, TraceHandle};
+use dx100_common::{Addr, CoreId, Cycle, DelayQueue, FastMap, SpanTracker, TraceHandle};
 
 use crate::channel::ChannelQueue;
 use crate::config::CoreConfig;
@@ -78,7 +78,7 @@ pub struct Core {
     next_seq: u64,
     lq_used: usize,
     sq_used: usize,
-    waiters: HashMap<u64, Vec<u64>>,
+    waiters: FastMap<u64, Vec<u64>>,
     ready_mem: VecDeque<u64>,
     internal_done: DelayQueue<u64>,
     waiting_flag: Option<WaitState>,
@@ -94,6 +94,11 @@ pub struct Core {
     stall_spans: [SpanTracker; 4],
     /// Stall counter values at the previous tick, for edge detection.
     prev_stalls: [u64; 4],
+    /// Idle class certified by the last [`Core::next_event`] probe; valid
+    /// until the core's next input (tick, memory completion, new ops).
+    /// Crediting uses it rather than re-deriving the class, because a flag
+    /// the core waits on may be set before its idle span is credited.
+    certified: Option<IdleClass>,
 }
 
 /// Stall reasons traced per core, in `stall_spans` order.
@@ -169,7 +174,7 @@ impl Core {
             next_seq: 0,
             lq_used: 0,
             sq_used: 0,
-            waiters: HashMap::new(),
+            waiters: FastMap::default(),
             ready_mem: VecDeque::new(),
             internal_done: DelayQueue::new(),
             waiting_flag: None,
@@ -181,6 +186,7 @@ impl Core {
             trace: None,
             stall_spans: [SpanTracker::default(); 4],
             prev_stalls: [0; 4],
+            certified: None,
         }
     }
 
@@ -219,6 +225,7 @@ impl Core {
     /// Replaces the op stream (used when a workload phase hands a core a new
     /// program).
     pub fn set_stream(&mut self, stream: impl Into<OpStreamKind>) {
+        self.certified = None;
         self.stream = stream.into();
         self.stream_done = false;
         self.peeked = None;
@@ -227,6 +234,7 @@ impl Core {
     /// Wakes the core after more ops were appended to a channel that had
     /// previously reported exhaustion.
     pub fn nudge(&mut self) {
+        self.certified = None;
         self.stream_done = false;
     }
 
@@ -236,6 +244,7 @@ impl Core {
     /// # Panics
     /// Panics if the core was not built with [`OpStreamKind::channel`].
     pub fn channel_mut(&mut self) -> &mut ChannelQueue {
+        self.certified = None;
         match &mut self.stream {
             OpStreamKind::Channel(c) => c,
             _ => panic!("core {} does not execute a channel stream", self.id),
@@ -279,6 +288,7 @@ impl Core {
 
     /// Delivers a memory completion for the op with sequence number `seq`.
     pub fn mem_complete(&mut self, seq: u64, now: Cycle) {
+        self.certified = None;
         let Some(entry) = self.entry_mut(seq) else {
             debug_assert!(false, "completion for unknown seq {seq}");
             return;
@@ -303,6 +313,7 @@ impl Core {
 
     /// Advances one cycle. Ready memory ops are handed to `issue`.
     pub fn tick(&mut self, now: Cycle, flags: &mut FlagBoard, issue: &mut dyn FnMut(MemIssue)) {
+        self.certified = None;
         if self.is_done() {
             return;
         }
@@ -485,12 +496,15 @@ impl Core {
     /// completion, stream refill) arrives — external wakeups come from
     /// components that are themselves active, which ends any skip. `None`
     /// means the core is inert until such input: its only self-timed wakeup
-    /// source is the internal completion queue.
+    /// source is the internal completion queue. A quiescent answer also
+    /// certifies the core's idle class for [`Core::credit_idle_span`] until
+    /// the core's next input.
     pub fn next_event(&mut self, now: Cycle, flags: &FlagBoard) -> Option<Cycle> {
         if self.is_done() {
             return None;
         }
-        if self.idle_class(now, flags).is_none() {
+        self.certified = self.idle_class(now, flags);
+        if self.certified.is_none() {
             return Some(now);
         }
         self.internal_done.next_ready_at()
@@ -498,16 +512,32 @@ impl Core {
 
     /// Credits the stall-only cycles `[from, to)` in bulk: bit-identical to
     /// calling [`Core::tick`] once per cycle while [`Core::idle_class`] holds
-    /// (which the caller guarantees by only skipping spans certified by
-    /// [`Core::next_event`] across *all* components).
+    /// (which the caller guarantees by only crediting spans certified by
+    /// [`Core::next_event`], with no input to the core since the probe).
+    /// The certified class is used even if a flag the core waits on was
+    /// set after the probe: the span being credited precedes that set.
     pub fn credit_idle_span(&mut self, from: Cycle, to: Cycle, flags: &FlagBoard) {
         if self.is_done() || from >= to {
             return;
         }
         let n = to - from;
-        let class = self
-            .idle_class(from, flags)
-            .expect("credit_idle_span requires a quiescent core");
+        let class = match self.certified {
+            Some(class) => {
+                // The certificate can only differ from a fresh derivation
+                // when the flag the core waits on was set after the probe.
+                debug_assert!(
+                    self.idle_class(from, flags) == Some(class)
+                        || (matches!(class.dispatch, DispatchIdle::Wait { .. })
+                            && self.waiting_flag.is_some_and(|w| flags.get(w.flag))),
+                    "core {} idle certificate is stale",
+                    self.id
+                );
+                class
+            }
+            None => self
+                .idle_class(from, flags)
+                .expect("credit_idle_span requires a quiescent core"),
+        };
         self.stats.cycles += n;
         self.credit_profile(Some(class), n);
         match class.dispatch {

@@ -1,9 +1,9 @@
 //! One cache level: tag array + MSHR file + optional stride prefetcher,
 //! with a latency-modeled lookup pipeline.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use dx100_common::{Cycle, DelayQueue, LineAddr, TraceHandle};
+use dx100_common::{Cycle, DelayQueue, FastMap, LineAddr, TraceHandle};
 
 use crate::array::{CacheArray, Victim};
 use crate::config::CacheConfig;
@@ -50,7 +50,7 @@ pub struct Cache {
     /// Event sink for MSHR lifecycle tracing (`None` = tracing disabled).
     trace: Option<TraceHandle>,
     /// Allocation times of outstanding misses; populated only while tracing.
-    miss_since: HashMap<LineAddr, Cycle>,
+    miss_since: FastMap<LineAddr, Cycle>,
     /// MSHR/retry occupancy attribution (`None` = profiling disabled).
     /// Lives outside [`CacheStats`] so RunStats stay byte-identical with
     /// profiling on.
@@ -73,7 +73,7 @@ impl Cache {
             stats: CacheStats::default(),
             scratch_candidates: Vec::new(),
             trace: None,
-            miss_since: HashMap::new(),
+            miss_since: FastMap::default(),
             profile: None,
             config,
         }

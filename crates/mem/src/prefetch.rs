@@ -7,9 +7,7 @@
 //! evaluation, so the model trains per logical stream and only issues
 //! prefetches once a stride has repeated.
 
-use std::collections::HashMap;
-
-use dx100_common::LineAddr;
+use dx100_common::{FastMap, LineAddr};
 
 /// Training state for one stream.
 #[derive(Debug, Clone, Copy)]
@@ -22,7 +20,7 @@ struct StreamEntry {
 /// A per-stream stride detector that emits prefetch candidates.
 #[derive(Clone, Debug)]
 pub struct StridePrefetcher {
-    table: HashMap<u32, StreamEntry>,
+    table: FastMap<u32, StreamEntry>,
     /// Prefetch distance: how many strides ahead to fetch.
     distance: i64,
     /// Prefetch degree: how many lines to issue per trigger.
@@ -36,7 +34,7 @@ impl StridePrefetcher {
     /// degree (4 lines per trigger).
     pub fn new() -> Self {
         StridePrefetcher {
-            table: HashMap::new(),
+            table: FastMap::default(),
             distance: 8,
             degree: 4,
             confidence_threshold: 2,

@@ -1,9 +1,11 @@
 //! The assembled machine and its cycle loop.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use dx100_common::flags::{FlagBoard, FlagId};
-use dx100_common::{Addr, CoreId, Cycle, DelayQueue, LineAddr, ReqId, TraceHandle};
+use dx100_common::{
+    Addr, CoreId, Cycle, DelayQueue, FastMap, FastSet, LineAddr, ReqId, TraceHandle,
+};
 use dx100_core::isa::{Instruction, RegId, TileId};
 use dx100_core::{Dx100Engine, MemPorts, MemoryImage};
 use dx100_cpu::{Core, CoreOp, MemKind, OpStream, OpStreamKind};
@@ -93,7 +95,7 @@ pub struct System {
     flags: FlagBoard,
     image: MemoryImage,
     actions: Vec<Option<MmioAction>>,
-    dram_pending: HashMap<ReqId, DramOrigin>,
+    dram_pending: FastMap<ReqId, DramOrigin>,
     next_dram_id: ReqId,
     dram_retry: VecDeque<(MemRequest, DramOrigin)>,
     spd_fills: DelayQueue<LineAddr>,
@@ -101,12 +103,12 @@ pub struct System {
     /// Pages whose data the host produced through its caches (the
     /// directory's page-level H-bits): DX100 accesses to these route via
     /// the LLC, where misses allocate, capturing any reuse.
-    host_pages: HashSet<u64>,
+    host_pages: FastSet<u64>,
     /// Per-engine in-order MMIO delivery queues (multi-instance only):
     /// region acquisition may delay the head, but never reorders.
     instr_delivery: Vec<VecDeque<PendingMmio>>,
     /// (engine, handle) → region base, for release on retire.
-    region_pins: HashMap<(usize, u64), Addr>,
+    region_pins: FastMap<(usize, u64), Addr>,
     roi_start: Cycle,
     roi_snapshot: Option<RunStats>,
     issue_scratch: Vec<(CoreId, dx100_cpu::MemIssue)>,
@@ -125,13 +127,24 @@ pub struct System {
     /// without re-checking the machine. Invalidated by every driver-facing
     /// mutation (see [`System::wake`]).
     skip_until: Cycle,
-    /// Start of the elided-but-uncredited span `[span_start, clock)`.
-    /// While a certificate is live, elided cycles only advance the clock;
-    /// their stat/trace bookkeeping is credited in one batched
-    /// [`System::settle`] call when the span closes (certificate expiry or
-    /// [`System::wake`]). Invariant everywhere outside the skip fast path:
-    /// `span_start == clock`.
+    /// Start of the engines' and DRAM's elided-but-uncredited span
+    /// `[span_start, clock)`. While a certificate is live, elided cycles
+    /// only advance the clock; their stat/trace bookkeeping is credited in
+    /// one batched [`System::settle_elided`] call when the span closes
+    /// (certificate expiry or [`System::wake`]). Invariant everywhere
+    /// outside the skip fast path: `span_start == clock`.
     span_start: Cycle,
+    /// Per core, the first cycle neither ticked nor credited: a core
+    /// certified idle is not ticked, and its cycles `[core_from, now)`
+    /// are credited in one batch when it next gets input or is due.
+    core_from: Vec<Cycle>,
+    /// Per core, its idle certificate: `> now` — idle (no tick) until that
+    /// cycle (`Cycle::MAX`: until input); `== now` — due this cycle;
+    /// `< now` — unknown, probe [`Core::next_event`].
+    core_wake: Vec<Cycle>,
+    /// The cache hierarchy's counterparts of `core_from` / `core_wake`.
+    hier_from: Cycle,
+    hier_wake: Cycle,
     /// Root trace handle when tracing is on; components hold child handles.
     trace_root: Option<TraceHandle>,
     /// Separate sink for profile counter events (`"ph":"C"`). Kept out of
@@ -203,14 +216,14 @@ impl System {
             flags: FlagBoard::new(),
             image,
             actions: Vec::new(),
-            dram_pending: HashMap::new(),
+            dram_pending: FastMap::default(),
             next_dram_id: 0,
             dram_retry: VecDeque::new(),
             spd_fills: DelayQueue::new(),
             region: RegionCoherence::new(),
-            host_pages: HashSet::new(),
+            host_pages: FastSet::default(),
             instr_delivery,
-            region_pins: HashMap::new(),
+            region_pins: FastMap::default(),
             roi_start: 0,
             roi_snapshot: None,
             issue_scratch: Vec::new(),
@@ -221,6 +234,10 @@ impl System {
             skip_events: 0,
             skip_until: 0,
             span_start: 0,
+            core_from: vec![0; cfg.cores],
+            core_wake: vec![0; cfg.cores],
+            hier_from: 0,
+            hier_wake: 0,
             trace_root,
             profile_trace,
             sampler,
@@ -551,8 +568,10 @@ impl System {
         if !self.cfg.obs.profile {
             return None;
         }
-        debug_assert_eq!(
-            self.span_start, self.clock,
+        debug_assert!(
+            self.span_start == self.clock
+                && self.hier_from == self.clock
+                && self.core_from.iter().all(|&f| f == self.clock),
             "profile collected with an unsettled skip span"
         );
         let elapsed = self.clock - self.roi_start;
@@ -650,6 +669,11 @@ impl System {
     /// cycle-by-cycle run. Returns whether the cycle was elided (in which
     /// case the caller must not run the normal tick).
     ///
+    /// The per-component probes are the same ones [`System::step`] gates
+    /// individual cores and the cache hierarchy on, and their certificates
+    /// are kept: eliding the whole machine is just the case where every
+    /// component is idle at once.
+    ///
     /// Safe because every `next_event` implementation is conservative: it
     /// may report an event earlier than anything real (the tick at that
     /// cycle is then a no-op and stepping resumes normally), but never
@@ -675,11 +699,11 @@ impl System {
             Some(ev.map_or(t, |e: Cycle| e.min(t)))
         }
         let mut ev: Option<Cycle> = None;
-        for core in &mut self.cores {
-            match core.next_event(now, &self.flags) {
-                Some(t) if t <= now => return false,
-                Some(t) => ev = fold(ev, t),
-                None => {}
+        for c in 0..self.cores.len() {
+            match self.core_wake_at(c, now) {
+                t if t <= now => return false,
+                Cycle::MAX => {}
+                t => ev = fold(ev, t),
             }
         }
         // In-order MMIO delivery: only a not-yet-ready instruction head is
@@ -697,10 +721,10 @@ impl System {
                 Some(_) => return false,
             }
         }
-        match self.hier.next_event(now) {
-            Some(t) if t <= now => return false,
-            Some(t) => ev = fold(ev, t),
-            None => {}
+        match self.hier_wake_at(now) {
+            t if t <= now => return false,
+            Cycle::MAX => {}
+            t => ev = fold(ev, t),
         }
         for e in &self.engines {
             match e.next_event(now) {
@@ -745,29 +769,90 @@ impl System {
         }
         self.skip_until = target;
         self.skip_events += 1;
-        // `settle` ran just before `try_skip`, so `span_start == now`:
-        // eliding is now just the clock increment; crediting is deferred
-        // to the batched `settle` when the span closes.
+        // Cores idle from this very cycle get it credited now, as their
+        // tick would have: it may close a trace span, which must land
+        // before any event a later cycle records.
+        for c in 0..self.cores.len() {
+            self.credit_first_idle_cycle(c, now);
+        }
+        // `settle_elided` ran just before `try_skip`, so `span_start ==
+        // now`: eliding is now just the clock increment; crediting is
+        // deferred to the batched `settle_elided` when the span closes.
         self.skipped_cycles += 1;
         self.clock = now + 1;
         true
     }
 
-    /// Credits the elided span `[span_start, clock)` in one batch: exactly
-    /// the bookkeeping per-cycle no-op ticks would have done (stall/idle
-    /// accounting, occupancy samples via `RunningAverage::sample_n`, trace
-    /// span updates, the every-other-cycle DRAM tick counter). Bit-identical
-    /// to per-cycle crediting because a quiescent span's idle classification
-    /// is constant — its inputs are frozen until the certificate expires or
-    /// is revoked — and all batched samples sit on a dyadic grid.
-    /// Settling is idempotent and leaves any active skip certificate intact.
-    fn settle(&mut self) {
+    /// Core `c`'s wake cycle, probing it if its certificate is unknown:
+    /// `<= now` means due this cycle, `Cycle::MAX` idle until input.
+    fn core_wake_at(&mut self, c: usize, now: Cycle) -> Cycle {
+        let (core, flags) = (&mut self.cores[c], &self.flags);
+        wake_at(&mut self.core_wake[c], now, || core.next_event(now, flags))
+    }
+
+    /// The cache hierarchy's wake cycle; see [`System::core_wake_at`].
+    fn hier_wake_at(&mut self, now: Cycle) -> Cycle {
+        let hier = &self.hier;
+        wake_at(&mut self.hier_wake, now, || hier.next_event(now))
+    }
+
+    /// Credits cycle `now` to a core certified idle at it, unless already
+    /// credited. The first cycle of an idle span may close a trace span,
+    /// so it is credited in the core's tick slot; later cycles record no
+    /// trace event and are batched.
+    fn credit_first_idle_cycle(&mut self, c: usize, now: Cycle) {
+        if self.core_from[c] == now {
+            self.credit_core(c, now + 1);
+        }
+    }
+
+    /// Credits core `c`'s idle cycles `[core_from, to)`. Crediting is not
+    /// input: the core's certificate stays valid.
+    fn credit_core(&mut self, c: usize, to: Cycle) {
+        let from = self.core_from[c];
+        if from < to {
+            self.cores[c].credit_idle_span(from, to, &self.flags);
+            self.core_from[c] = to;
+        }
+    }
+
+    /// Credits core `c`'s idle cycles up to `to` and revokes its
+    /// certificate: the caller is about to give the core input.
+    fn flush_core(&mut self, c: usize, to: Cycle) {
+        self.credit_core(c, to);
+        self.core_wake[c] = 0;
+    }
+
+    /// Credits the cache hierarchy's idle cycles `[hier_from, to)`.
+    fn credit_hier(&mut self, to: Cycle) {
+        if self.hier_from < to {
+            self.hier.credit_idle_span(to - self.hier_from);
+            self.hier_from = to;
+        }
+    }
+
+    /// Credits every gated component's idle cycles up to `to`, keeping
+    /// their certificates.
+    fn credit_gated(&mut self, to: Cycle) {
+        for c in 0..self.cores.len() {
+            self.credit_core(c, to);
+        }
+        self.credit_hier(to);
+    }
+
+    /// Credits the engines' and DRAM's elided span `[span_start, clock)` in
+    /// one batch: exactly the bookkeeping per-cycle no-op ticks would have
+    /// done (idle accounting, trace span updates, the every-other-cycle
+    /// DRAM tick counter). Bit-identical to per-cycle crediting because a
+    /// quiescent span's idle classification is constant — its inputs are
+    /// frozen until the certificate expires or is revoked — and all batched
+    /// samples sit on a dyadic grid. Cores and the cache hierarchy carry
+    /// their own idle spans (`core_from`, `hier_from`). Idempotent, and
+    /// leaves any active skip certificate intact.
+    fn settle_elided(&mut self) {
         let (from, to) = (self.span_start, self.clock);
         if from >= to {
             return;
-        }
-        for core in &mut self.cores {
-            core.credit_idle_span(from, to, &self.flags);
         }
         for e in &mut self.engines {
             e.credit_idle_span(from, to);
@@ -779,25 +864,38 @@ impl System {
         if ticks > 0 {
             self.dram.credit_idle_ticks(from.div_ceil(m), ticks);
         }
-        // The hierarchy ticks every CPU cycle; its occupancy profile gets
-        // one frozen sample per elided cycle.
-        self.hier.credit_idle_span(to - from);
         self.span_start = to;
     }
 
-    /// Revokes the cached quiescence certificate, settling any pending
-    /// elided span first (the settle must see the pre-mutation machine, so
+    /// Credits everything not yet ticked or credited, up to the clock.
+    fn settle(&mut self) {
+        self.settle_elided();
+        self.credit_gated(self.clock);
+    }
+
+    /// Revokes the cached quiescence certificates, settling any pending
+    /// idle spans first (the settle must see the pre-mutation machine, so
     /// driver-facing methods call `wake` *before* mutating state). Every
     /// driver-facing method that can change machine state calls this, so
     /// work injected between steps is picked up on the very next cycle.
     fn wake(&mut self) {
         self.settle();
         self.skip_until = 0;
+        self.core_wake.fill(0);
+        self.hier_wake = 0;
     }
 
     /// Advances the machine one CPU cycle.
+    ///
+    /// With `cycle_skip` on, cores and the cache hierarchy are ticked only
+    /// when due — their certificate expired, they got input, or a probe
+    /// finds work — and their idle cycles are credited in batches; the
+    /// whole cycle is elided when nothing at all is due. With it off,
+    /// every component ticks every cycle: the reference the differential
+    /// tests compare against.
     pub fn step(&mut self) {
-        if self.cfg.cycle_skip {
+        let gate = self.cfg.cycle_skip;
+        if gate {
             if self.clock < self.skip_until {
                 // Inside a certified span: the entire per-cycle cost is
                 // these two increments; crediting happens in `settle`.
@@ -805,7 +903,7 @@ impl System {
                 self.clock += 1;
                 return;
             }
-            self.settle();
+            self.settle_elided();
             if self.try_skip() {
                 return;
             }
@@ -815,9 +913,29 @@ impl System {
         // --- Cores tick and issue memory operations. ---
         let mut issues = std::mem::take(&mut self.issue_scratch);
         issues.clear();
-        for core in &mut self.cores {
+        let mut flags_seen = self.flags.generation();
+        for c in 0..self.cores.len() {
+            if gate && self.core_wake_at(c, now) > now {
+                self.credit_first_idle_cycle(c, now);
+                continue;
+            }
+            self.credit_core(c, now);
+            let core = &mut self.cores[c];
             let cid = core.id();
             core.tick(now, &mut self.flags, &mut |iss| issues.push((cid, iss)));
+            self.core_from[c] = now + 1;
+            self.core_wake[c] = 0;
+            if self.flags.generation() != flags_seen {
+                // The core set a flag: cores before it already had cycle
+                // `now`; later ones must re-probe against the new flags.
+                flags_seen = self.flags.generation();
+                for b in 0..self.cores.len() {
+                    self.flush_core(b, if b < c { now + 1 } else { now });
+                }
+            }
+        }
+        if !issues.is_empty() {
+            self.hier_wake = 0;
         }
         for (c, iss) in issues.drain(..) {
             if let (Some(dmp), MemKind::Load) = (&mut self.dmp, iss.kind) {
@@ -853,6 +971,7 @@ impl System {
             for _ in 0..2 {
                 if let Some((core, line)) = dmp.pop_prefetch() {
                     self.hier.inject_prefetch_l2(core, line, now);
+                    self.hier_wake = 0;
                 } else {
                     break;
                 }
@@ -862,7 +981,12 @@ impl System {
         // --- Cache hierarchy. ---
         let mut to_dram = std::mem::take(&mut self.to_dram_scratch);
         to_dram.clear();
-        self.hier.tick(now, &mut to_dram);
+        if !gate || self.hier_wake_at(now) <= now {
+            self.credit_hier(now);
+            self.hier.tick(now, &mut to_dram);
+            self.hier_from = now + 1;
+            self.hier_wake = 0;
+        }
 
         // --- DX100 engines. ---
         {
@@ -877,8 +1001,12 @@ impl System {
                     next_id: &mut self.next_dram_id,
                     dram_now,
                     host_pages: &self.host_pages,
+                    hier_input: false,
                 };
                 engine.tick(now, &mut self.image, &mut ports);
+                if ports.hier_input {
+                    self.hier_wake = 0;
+                }
                 if let Some(err) = engine.error() {
                     panic!("DX100 instance {e_idx} halted: {err}");
                 }
@@ -888,6 +1016,9 @@ impl System {
         for e_idx in 0..self.engines.len() {
             for (handle, flag) in self.engines[e_idx].drain_retired() {
                 if let Some(f) = flag {
+                    for c in 0..self.cores.len() {
+                        self.flush_core(c, now + 1);
+                    }
                     self.flags.set(f);
                 }
                 if let Some(base) = self.region_pins.remove(&(e_idx, handle)) {
@@ -921,7 +1052,7 @@ impl System {
         let mut extra = std::mem::take(&mut self.wb_scratch);
         extra.clear();
         while let Some(line) = self.spd_fills.pop_ready(now) {
-            self.hier.dram_fill(line, now, &mut extra);
+            self.hier_fill(line, now, &mut extra);
         }
         if !extra.is_empty() {
             self.route_to_dram(&mut extra);
@@ -946,7 +1077,7 @@ impl System {
             let mut extra = std::mem::take(&mut self.wb_scratch);
             extra.clear();
             for line in fills.drain(..) {
-                self.hier.dram_fill(line, now, &mut extra);
+                self.hier_fill(line, now, &mut extra);
             }
             if !extra.is_empty() {
                 self.route_to_dram(&mut extra);
@@ -957,11 +1088,13 @@ impl System {
 
         // --- Core memory responses. ---
         while let Some(resp) = self.hier.pop_core_response() {
+            self.flush_core(resp.core, now + 1);
             self.cores[resp.core].mem_complete(resp.id, now);
         }
 
         // --- Epoch boundary: snapshot interval metrics. ---
         if self.sampler.as_ref().is_some_and(|s| s.due(now)) {
+            self.credit_gated(now + 1);
             let cumulative = self.collect_stats();
             let depth = self.dx100_queue_depth();
             if let Some(s) = &mut self.sampler {
@@ -974,6 +1107,15 @@ impl System {
         // An executed cycle is its own bookkeeping; only elided cycles
         // leave the span marker behind the clock.
         self.span_start = self.clock;
+    }
+
+    /// Delivers a DRAM or scratchpad fill to the cache hierarchy. A fill
+    /// changes MSHR occupancy, so the hierarchy's idle cycles (this one
+    /// included: its tick slot has passed) are credited first.
+    fn hier_fill(&mut self, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
+        self.credit_hier(now + 1);
+        self.hier_wake = 0;
+        self.hier.dram_fill(line, now, to_dram);
     }
 
     fn apply_action(&mut self, action: MmioAction) {
@@ -1168,6 +1310,19 @@ impl System {
     }
 }
 
+/// Resolves a gated component's idle certificate `cert` (see
+/// `System::core_wake`), running `probe` — the component's `next_event` —
+/// only when the certificate is unknown.
+fn wake_at(cert: &mut Cycle, now: Cycle, probe: impl FnOnce() -> Option<Cycle>) -> Cycle {
+    if *cert < now {
+        *cert = match probe() {
+            Some(t) if t <= now => now,
+            t => t.unwrap_or(Cycle::MAX),
+        };
+    }
+    *cert
+}
+
 /// Region operand of *indirect* memory-access instructions: `(base, is_write)`.
 ///
 /// Only indirect accesses participate in the SWMR region protocol. Streaming
@@ -1195,10 +1350,12 @@ struct SystemPorts<'a> {
     e_idx: usize,
     hier: &'a mut MemoryHierarchy,
     dram: &'a mut DramSystem,
-    pending: &'a mut HashMap<ReqId, DramOrigin>,
+    pending: &'a mut FastMap<ReqId, DramOrigin>,
     next_id: &'a mut ReqId,
     dram_now: Cycle,
-    host_pages: &'a HashSet<u64>,
+    host_pages: &'a FastSet<u64>,
+    /// Set when the engine sent the hierarchy an access this tick.
+    hier_input: bool,
 }
 
 impl MemPorts for SystemPorts<'_> {
@@ -1221,6 +1378,7 @@ impl MemPorts for SystemPorts<'_> {
             requester: Requester::Dx100,
         };
         self.hier.llc_access(access, now);
+        self.hier_input = true;
     }
 
     fn dram_try_request(&mut self, id: ReqId, line: LineAddr, is_write: bool, _now: Cycle) -> bool {

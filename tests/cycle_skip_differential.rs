@@ -166,18 +166,29 @@ fn run_stats_identical_profile_on_off() {
 /// on the previous one, so the machine spends most cycles waiting on DRAM.
 fn sparse_chase() -> (MemoryImage, Vec<CoreOp>) {
     let mut image = MemoryImage::new();
-    let a = image.alloc("A", DType::U32, 1 << 20); // 4 MB, exceeds L2
-    let mut ops = Vec::new();
-    let mut x = 0x9e3779b97f4a7c15u64;
-    for i in 0..64u64 {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let idx = (x >> 33) % (1 << 20);
-        let load = CoreOp::load(a.addr_of(idx), 1);
-        ops.push(if i == 0 { load } else { load.with_dep(1) });
-    }
+    // 4 MB, exceeds L2.
+    let ops = chase(&mut image, "A", 0x9e3779b97f4a7c15, 1 << 20, 64);
     (image, ops)
+}
+
+/// `n` loads over a fresh `len`-element array, each dependent on the
+/// previous one, at pseudo-random indices drawn from `seed`.
+fn chase(image: &mut MemoryImage, name: &str, seed: u64, len: u64, n: u64) -> Vec<CoreOp> {
+    let a = image.alloc(name, DType::U32, len);
+    let mut x = seed;
+    (0..n)
+        .map(|i| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let load = CoreOp::load(a.addr_of((x >> 33) % len), 1);
+            if i == 0 {
+                load
+            } else {
+                load.with_dep(1)
+            }
+        })
+        .collect()
 }
 
 /// Skipping must actually engage on an idle-heavy run (otherwise the whole
@@ -209,6 +220,49 @@ fn skip_engages_on_idle_heavy_run() {
         "a serial miss chain should skip most cycles: {skipped} of {cycles_on}"
     );
     assert!(skip_events > 0);
+}
+
+/// Cores that set flags for each other: the one input to an idle core that
+/// another core's tick produces. Core 3 releases core 0 (a waiter earlier
+/// in tick order than its setter) and core 0 releases cores 1 and 2 (later
+/// in tick order), with spinning and blocking waits. Cores gated while
+/// waiting must be credited exactly as per-cycle ticks would be — stats,
+/// trace order, epochs and attribution alike.
+#[test]
+fn core_set_flags_identical_skip_on_off() {
+    let run = |skip: bool| {
+        let mut image = MemoryImage::new();
+        let chase0 = chase(&mut image, "A", 1, 1 << 18, 24);
+        let chase2 = chase(&mut image, "B", 2, 1 << 18, 8);
+        let chase3 = chase(&mut image, "C", 3, 1 << 18, 16);
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.cycle_skip = skip;
+        cfg.obs.trace = true;
+        cfg.obs.profile = true;
+        cfg.obs.epoch_cycles = Some(1000);
+        let mut sys = System::new(cfg, image);
+        let (fa, fb) = (sys.alloc_flag(), sys.alloc_flag());
+        sys.push_wait(0, fa, true);
+        sys.push_ops(0, chase0);
+        sys.push_ops(0, [CoreOp::SetFlag { flag: fb }]);
+        sys.push_wait(1, fb, false);
+        sys.push_ops(1, (0..32).map(|_| CoreOp::alu()));
+        sys.push_ops(2, chase2);
+        sys.push_wait(2, fb, true);
+        sys.push_ops(3, chase3);
+        sys.push_ops(3, [CoreOp::SetFlag { flag: fa }]);
+        let stats = sys.run(&mut NullDriver);
+        (format!("{stats:?}"), sys.telemetry())
+    };
+    let (stats_on, tele_on) = run(true);
+    let (stats_off, tele_off) = run(false);
+    assert_eq!(stats_on, stats_off, "stats diverged with gating");
+    assert_eq!(tele_on.profile, tele_off.profile, "attribution diverged");
+    assert_eq!(
+        tele_on.counters, tele_off.counters,
+        "counter series diverged"
+    );
+    assert!(tele_on.skipped_cycles > 0, "the chases should elide cycles");
 }
 
 proptest! {
