@@ -2,11 +2,13 @@
 //! (reordering, coalescing, interleaving) and the direct-DRAM path, and
 //! measure the all-miss gather plus two representative kernels.
 
+use dx100_bench::{run_jobs, BenchArgs};
 use dx100_sim::SystemConfig;
-use dx100_workloads::kernels::is::IntegerSort;
-use dx100_workloads::kernels::ume::Ume;
 use dx100_workloads::micro::allmiss::{run_allmiss, Scenario};
-use dx100_workloads::{KernelRun, Mode, Scale};
+use dx100_workloads::Mode;
+
+/// The two kernels each variant runs, at half the `--scale` dataset.
+const KERNELS: [&str; 2] = ["is", "gzz"];
 
 fn variant(name: &str, f: impl Fn(&mut dx100_core::Dx100Config)) -> (String, SystemConfig) {
     let mut cfg = SystemConfig::paper_dx100();
@@ -15,9 +17,8 @@ fn variant(name: &str, f: impl Fn(&mut dx100_core::Dx100Config)) -> (String, Sys
 }
 
 fn main() {
-    let args = dx100_bench::BenchArgs::parse();
+    let args = BenchArgs::parse();
     args.warn_unsupported("ablation", false, true);
-    let scale = args.scale;
     let variants = vec![
         variant("full", |_| {}),
         variant("no-reorder", |d| d.reorder = false),
@@ -30,26 +31,27 @@ fn main() {
         chi: false,
         bgi: false,
     };
-    let kernels: Vec<Box<dyn KernelRun>> = vec![
-        Box::new(IntegerSort::new(Scale(scale * 0.5))),
-        Box::new(Ume::zone(Scale(scale * 0.5), false)),
-    ];
+    let mut jobs = Vec::new();
+    for (_, cfg) in &variants {
+        for k in KERNELS {
+            jobs.push(args.job(k, args.scale * 0.5, Mode::Dx100, cfg.clone()));
+        }
+    }
+    let results = run_jobs("ablation", jobs, args.threads);
     println!("Ablations — DX100 cycles (lower is better) and BW utilization\n");
     println!(
         "{:<14} {:>12} {:>8} {:>12} {:>12}",
         "variant", "allmiss-cyc", "bw%", "is-cyc", "gzz-cyc"
     );
-    for (name, mut cfg) in variants {
+    for ((name, mut cfg), runs) in variants.into_iter().zip(results.chunks(KERNELS.len())) {
         cfg.obs.profile = args.profile;
         let am = run_allmiss(worst, true, &cfg);
         let mut cols = vec![
             format!("{:>12}", am.cycles),
             format!("{:>8.1}", am.bandwidth_utilization() * 100.0),
         ];
-        for k in &kernels {
-            eprintln!("{name}: {}", k.name());
-            let r = k.run(Mode::Dx100, &cfg, args.seed);
-            args.print_run_profile(&format!("{name}: {}", k.name()), &r);
+        for (k, (r, _)) in KERNELS.iter().zip(runs) {
+            args.print_run_profile(&format!("{name}: {k}"), r);
             cols.push(format!("{:>12}", r.stats.cycles));
         }
         println!("{:<14} {}", name, cols.join(" "));

@@ -1,23 +1,14 @@
 //! Figure 9: DX100 speedup over the multicore baseline for each workload.
 
-use dx100_bench::{print_geomean, print_table, run_figure, summarize, BenchArgs};
+use dx100_bench::{print_fig09, run_figure, summarize, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let fig = run_figure(&args, false);
-    let rows = &fig.rows;
-    let mut speeds = Vec::new();
-    let table: Vec<(String, Vec<f64>)> = rows
-        .iter()
-        .map(|r| {
-            eprintln!("  {}", summarize("base ", &r.baseline.stats));
-            eprintln!("  {}", summarize("dx100", &r.dx100.stats));
-            speeds.push(r.speedup());
-            (r.name.to_string(), vec![r.speedup()])
-        })
-        .collect();
-    println!("\nFigure 9 — DX100 speedup over baseline (paper: geomean 2.6x)");
-    print_table(&["speedup"], &table);
-    print_geomean("fig09", &speeds);
+    for r in &fig.rows {
+        eprintln!("  {}", summarize("base ", &r.baseline.stats));
+        eprintln!("  {}", summarize("dx100", &r.dx100.stats));
+    }
+    print_fig09(&fig.rows);
     fig.emit(&args, "fig09");
 }

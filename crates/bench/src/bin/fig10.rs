@@ -1,42 +1,11 @@
 //! Figure 10: (a) DRAM bandwidth utilization, (b) row-buffer hit rate,
 //! (c) request-buffer occupancy — baseline vs DX100 per workload.
 
-use dx100_bench::{print_geomean, run_figure, BenchArgs};
+use dx100_bench::{print_fig10, run_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let fig = run_figure(&args, false);
-    let rows = &fig.rows;
-    println!("\nFigure 10 — memory-system metrics (paper: 3.9x BW, 2.7x RBH, 12.1x occupancy)");
-    println!(
-        "{:<8} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8}",
-        "kernel", "bw-b%", "bw-dx%", "rbh-b%", "rbh-dx%", "occ-b", "occ-dx"
-    );
-    let (mut bwg, mut rbhg, mut occg) = (vec![], vec![], vec![]);
-    for r in rows {
-        let (b, d) = (&r.baseline.stats, &r.dx100.stats);
-        println!(
-            "{:<8} {:>9.1} {:>9.1} {:>8.1} {:>8.1} {:>8.3} {:>8.3}",
-            r.name,
-            b.bandwidth_utilization() * 100.0,
-            d.bandwidth_utilization() * 100.0,
-            b.row_buffer_hit_rate() * 100.0,
-            d.row_buffer_hit_rate() * 100.0,
-            b.request_buffer_occupancy(),
-            d.request_buffer_occupancy(),
-        );
-        if b.bandwidth_utilization() > 0.0 {
-            bwg.push(d.bandwidth_utilization() / b.bandwidth_utilization());
-        }
-        if b.row_buffer_hit_rate() > 0.0 {
-            rbhg.push(d.row_buffer_hit_rate() / b.row_buffer_hit_rate());
-        }
-        if b.request_buffer_occupancy() > 0.0 {
-            occg.push(d.request_buffer_occupancy() / b.request_buffer_occupancy());
-        }
-    }
-    print_geomean("fig10a bandwidth gain", &bwg);
-    print_geomean("fig10b row-buffer-hit gain", &rbhg);
-    print_geomean("fig10c occupancy gain", &occg);
+    print_fig10(&fig.rows);
     fig.emit(&args, "fig10");
 }

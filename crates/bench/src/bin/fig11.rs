@@ -1,32 +1,10 @@
 //! Figure 11: (a) dynamic instruction reduction, (b) cache MPKI reduction.
 
-use dx100_bench::{print_geomean, run_figure, BenchArgs};
+use dx100_bench::{print_fig11, run_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let fig = run_figure(&args, false);
-    let rows = &fig.rows;
-    println!("\nFigure 11 — core-side effects (paper: 3.6x instruction cut, 6.1x MPKI cut)");
-    println!(
-        "{:<8} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}",
-        "kernel", "instr-b", "instr-dx", "i-cut", "mpki-b", "mpki-dx", "m-cut"
-    );
-    let (mut icut, mut mcut) = (vec![], vec![]);
-    for r in rows {
-        let (b, d) = (&r.baseline.stats, &r.dx100.stats);
-        let ic = b.instructions as f64 / d.instructions.max(1) as f64;
-        let (mb, md) = (b.total_mpki(), d.total_mpki());
-        let mc = if md > 0.0 { mb / md } else { f64::NAN };
-        println!(
-            "{:<8} {:>12} {:>12} {:>7.2}x {:>10.2} {:>10.2} {:>7.2}x",
-            r.name, b.instructions, d.instructions, ic, mb, md, mc
-        );
-        icut.push(ic);
-        if mc.is_finite() && mc > 0.0 {
-            mcut.push(mc);
-        }
-    }
-    print_geomean("fig11a instruction reduction", &icut);
-    print_geomean("fig11b MPKI reduction", &mcut);
+    print_fig11(&fig.rows);
     fig.emit(&args, "fig11");
 }

@@ -1,45 +1,48 @@
-//! Figure 13: performance sensitivity to the DX100 tile size (1K â 32K).
+//! Figure 13: performance sensitivity to the DX100 tile size (1K → 32K).
 //!
-//! The paper attributes the gain to coalescing (1.4Ã fewer memory accesses
+//! The paper attributes the gain to coalescing (1.4× fewer memory accesses
 //! at 32K vs 1K) and +27% row-buffer hits, so each row also reports the
 //! geomean indirect-access count (normalized to the 1K row) and the mean
 //! DX100-machine row-buffer hit rate.
 
-use dx100_bench::BenchArgs;
+use dx100_bench::jobspec::kernel_names;
+use dx100_bench::{run_jobs, BenchArgs};
 use dx100_common::stats::geomean;
 use dx100_sim::SystemConfig;
-use dx100_workloads::{all_kernels, Mode, Scale};
+use dx100_workloads::Mode;
+
+const TILES: [usize; 6] = [1024, 2048, 4096, 8192, 16384, 32768];
 
 fn main() {
     let args = BenchArgs::parse();
     args.warn_unsupported("fig13", false, true);
-    let scale = args.scale;
-    let kernels = all_kernels(Scale(scale));
-    println!("Figure 13 â tile-size sweep (paper: 1.7x @1K â 2.9x @32K,");
+    let kernels = kernel_names();
+    // Baselines once per kernel, then every kernel at each tile size.
+    let mut jobs = Vec::new();
+    for k in &kernels {
+        let cfg = SystemConfig::paper_baseline();
+        jobs.push(args.job(k, args.scale, Mode::Baseline, cfg));
+    }
+    for tile in TILES {
+        for k in &kernels {
+            let cfg = SystemConfig::paper_dx100().with_tile_elems(tile);
+            jobs.push(args.job(k, args.scale, Mode::Dx100, cfg));
+        }
+    }
+    let results = run_jobs("fig13", jobs, args.threads);
+    println!("Figure 13 — tile-size sweep (paper: 1.7x @1K → 2.9x @32K,");
     println!("            1.4x fewer accesses and +27% RBH at 32K vs 1K)\n");
-    // Baselines once per kernel.
-    let mut base_cfg = SystemConfig::paper_baseline();
-    base_cfg.obs.profile = args.profile;
-    let baselines: Vec<_> = kernels
-        .iter()
-        .map(|k| {
-            eprintln!("baseline {}", k.name());
-            let r = k.run(Mode::Baseline, &base_cfg, args.seed);
-            args.print_run_profile(&format!("baseline {}", k.name()), &r);
-            r
-        })
-        .collect();
+    let (baselines, tiled) = results.split_at(kernels.len());
+    for (k, (base, _)) in kernels.iter().zip(baselines) {
+        args.print_run_profile(&format!("baseline {k}"), base);
+    }
     let mut access_ref: Vec<f64> = Vec::new();
-    for tile in [1024usize, 2048, 4096, 8192, 16384, 32768] {
-        let mut cfg = SystemConfig::paper_dx100().with_tile_elems(tile);
-        cfg.obs.profile = args.profile;
+    for (tile, runs) in TILES.iter().zip(tiled.chunks(kernels.len())) {
         let mut speeds = Vec::new();
         let mut accesses = Vec::new();
         let mut rbh = Vec::new();
-        for (k, base) in kernels.iter().zip(&baselines) {
-            eprintln!("tile {tile} {}", k.name());
-            let dx = k.run(Mode::Dx100, &cfg, args.seed);
-            args.print_run_profile(&format!("tile {tile} {}", k.name()), &dx);
+        for ((k, (dx, _)), (base, _)) in kernels.iter().zip(runs).zip(baselines) {
+            args.print_run_profile(&format!("tile {tile} {k}"), dx);
             speeds.push(dx.stats.speedup_over(&base.stats));
             if let Some(d) = &dx.stats.dx100 {
                 accesses.push(

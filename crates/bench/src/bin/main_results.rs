@@ -1,76 +1,17 @@
 //! Figures 9, 10, and 11 from a single set of runs (each kernel is
 //! simulated once per machine; the three figures are different views of
-//! the same measurements).
+//! the same measurements). Prints the three figures' tables exactly as
+//! `fig09`, `fig10` and `fig11` do, then every run's headline stats.
 
-use dx100_bench::{print_geomean, run_figure, summarize, BenchArgs};
+use dx100_bench::{print_fig09, print_fig10, print_fig11, run_figure, summarize, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let fig = run_figure(&args, false);
     let rows = &fig.rows;
-
-    println!("\n=== Figure 9 — speedup over baseline (paper: geomean 2.6x) ===");
-    let mut speeds = Vec::new();
-    for r in rows {
-        println!("{:<8} {:>8.2}x", r.name, r.speedup());
-        speeds.push(r.speedup());
-    }
-    print_geomean("fig09", &speeds);
-
-    println!("\n=== Figure 10 — memory system (paper: 3.9x BW, 2.7x RBH, 12.1x occupancy) ===");
-    println!(
-        "{:<8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "kernel", "bw-b%", "bw-dx%", "rbh-b%", "rbh-dx%", "occ-b", "occ-dx"
-    );
-    let (mut bwg, mut rbhg, mut occg) = (vec![], vec![], vec![]);
-    for r in rows {
-        let (b, d) = (&r.baseline.stats, &r.dx100.stats);
-        println!(
-            "{:<8} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.3} {:>8.3}",
-            r.name,
-            b.bandwidth_utilization() * 100.0,
-            d.bandwidth_utilization() * 100.0,
-            b.row_buffer_hit_rate() * 100.0,
-            d.row_buffer_hit_rate() * 100.0,
-            b.request_buffer_occupancy(),
-            d.request_buffer_occupancy(),
-        );
-        if b.bandwidth_utilization() > 0.0 {
-            bwg.push(d.bandwidth_utilization() / b.bandwidth_utilization());
-        }
-        if b.row_buffer_hit_rate() > 0.0 {
-            rbhg.push(d.row_buffer_hit_rate() / b.row_buffer_hit_rate());
-        }
-        if b.request_buffer_occupancy() > 0.0 {
-            occg.push(d.request_buffer_occupancy() / b.request_buffer_occupancy());
-        }
-    }
-    print_geomean("fig10a bandwidth gain", &bwg);
-    print_geomean("fig10b row-buffer-hit gain", &rbhg);
-    print_geomean("fig10c occupancy gain", &occg);
-
-    println!("\n=== Figure 11 — instruction & MPKI reduction (paper: 3.6x, 6.1x) ===");
-    println!(
-        "{:<8} {:>12} {:>12} {:>8} {:>9} {:>9} {:>8}",
-        "kernel", "instr-b", "instr-dx", "i-cut", "mpki-b", "mpki-dx", "m-cut"
-    );
-    let (mut icut, mut mcut) = (vec![], vec![]);
-    for r in rows {
-        let (b, d) = (&r.baseline.stats, &r.dx100.stats);
-        let ic = b.instructions as f64 / d.instructions.max(1) as f64;
-        let (mb, md) = (b.total_mpki(), d.total_mpki());
-        let mc = if md > 0.0 { mb / md } else { f64::NAN };
-        println!(
-            "{:<8} {:>12} {:>12} {:>7.2}x {:>9.2} {:>9.2} {:>7.2}x",
-            r.name, b.instructions, d.instructions, ic, mb, md, mc
-        );
-        icut.push(ic);
-        if mc.is_finite() && mc > 0.0 {
-            mcut.push(mc);
-        }
-    }
-    print_geomean("fig11a instruction reduction", &icut);
-    print_geomean("fig11b MPKI reduction", &mcut);
+    print_fig09(rows);
+    print_fig10(rows);
+    print_fig11(rows);
 
     println!("\n=== raw rows ===");
     for r in rows {

@@ -4,18 +4,20 @@
 //! positional scale argument (a `--scale` of 1.0 reproduces the old
 //! default probe size), and `--profile` prints the run's cycle attribution.
 
-use dx100_bench::BenchArgs;
+use dx100_bench::{run_jobs, BenchArgs};
 use dx100_sim::SystemConfig;
-use dx100_workloads::{all_kernels, Mode, Scale};
+use dx100_workloads::Mode;
 
 fn main() {
     let args = BenchArgs::parse();
     args.warn_unsupported("probe_bfs", false, true);
-    let kernels = all_kernels(Scale(args.scale * 0.0625));
-    let k = kernels.iter().find(|k| k.name() == "bfs").unwrap();
-    let mut cfg = SystemConfig::scaled(8, 2);
-    cfg.obs.profile = args.profile;
-    let r = k.run(Mode::Dx100, &cfg, args.seed);
+    let job = args.job(
+        "bfs",
+        args.scale * 0.0625,
+        Mode::Dx100,
+        SystemConfig::scaled(8, 2),
+    );
+    let (r, _) = run_jobs("probe_bfs", vec![job], args.threads).remove(0);
     println!(
         "bfs 8c/2x ok: {} cycles ({} skipped in {} spans)",
         r.stats.cycles, r.telemetry.skipped_cycles, r.telemetry.skip_events

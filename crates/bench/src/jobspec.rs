@@ -13,14 +13,19 @@
 //! ([`JobSpec::to_json`], fixed field order) with FNV-1a 64
 //! (`dx100_common::hash`), and [`JobSpec::run`] produces the versioned
 //! report the cache stores verbatim.
+//!
+//! A spec resolves to a [`Job`]: a kernel on a built machine. `Job` is the
+//! one way anything in the harness runs a kernel — the figure sweeps build
+//! lists of them (with their own machine variants: tile sizes, core
+//! counts, ablated engines) and run them on the worker pool.
 
 use std::path::PathBuf;
 
 use dx100_common::hash::{fnv1a_64, hex16};
 use dx100_common::json::{obj, Json};
-use dx100_sim::report::{run_stats_json, SCHEMA_VERSION};
+use dx100_sim::report::SCHEMA_VERSION;
 use dx100_sim::{ObservabilityConfig, SystemConfig};
-use dx100_workloads::{all_kernels, KernelRun, Mode, Scale};
+use dx100_workloads::{all_kernels, KernelRun, Mode, Scale, WorkloadResult};
 
 /// Builds the machine configuration for `mode` — the single place the
 /// paper's three machines are constructed for measurement, shared by the
@@ -59,6 +64,36 @@ pub fn find_kernel(name: &str, scale: Scale) -> Result<Box<dyn KernelRun + Send 
                 kernel_names().join(", ")
             )
         })
+}
+
+/// One kernel run on one built machine: the unit of work of every figure
+/// sweep, the `job` CLI and the daemon. Owned and `Send + 'static`, so a
+/// batch of jobs runs on the worker pool.
+#[derive(Debug)]
+pub struct Job {
+    /// Kernel name (one of [`kernel_names`]).
+    pub kernel: String,
+    /// Dataset scale factor.
+    pub scale: f64,
+    /// Which implementation of the kernel runs (baseline / dmp / dx100).
+    pub mode: Mode,
+    /// Dataset seed.
+    pub seed: u64,
+    /// The machine.
+    pub cfg: SystemConfig,
+}
+
+impl Job {
+    /// Builds the dataset, simulates the kernel, and verifies its output.
+    ///
+    /// # Panics
+    /// Panics on an unknown kernel name ([`JobSpec::job`] validates), and
+    /// when the kernel's output fails verification.
+    pub fn run(&self) -> WorkloadResult {
+        find_kernel(&self.kernel, Scale(self.scale))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .run(self.mode, &self.cfg, self.seed)
+    }
 }
 
 /// A fully resolved simulation job. See the module docs for what is (and
@@ -217,25 +252,31 @@ impl JobSpec {
         cfg
     }
 
+    /// The validated [`Job`] this spec resolves to.
+    pub fn job(&self) -> Result<Job, String> {
+        self.validate()?;
+        Ok(Job {
+            kernel: self.kernel.clone(),
+            scale: self.scale,
+            mode: self.machine,
+            seed: self.seed,
+            cfg: self.resolved_config(),
+        })
+    }
+
     /// Runs the job and produces its versioned report — the exact bytes
     /// (after serialization) the serve cache stores and replays. Every job
     /// is one full-fidelity run; `_threads` is unused and kept so existing
     /// callers compile unchanged.
     pub fn run(&self, _threads: usize) -> Result<Json, String> {
-        self.validate()?;
-        let kernel = find_kernel(&self.kernel, Scale(self.scale))?;
-        let w = kernel.run(self.machine, &self.resolved_config(), self.seed);
-        let mut run_block = run_stats_json(&w.stats);
-        if let Json::Obj(fields) = &mut run_block {
-            fields.push(("telemetry".to_string(), w.telemetry.to_json()));
-        }
+        let w = self.job()?.run();
         Ok(obj([
             ("schema_version", SCHEMA_VERSION.into()),
             ("kind", "job".into()),
             ("spec", self.to_json()),
             ("mode", "full".into()),
             ("checksum", w.checksum.into()),
-            ("run", run_block),
+            ("run", crate::run_json(&w)),
         ]))
     }
 }

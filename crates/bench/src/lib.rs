@@ -13,6 +13,7 @@
 //! | `fig12` | DX100 vs the DMP indirect prefetcher |
 //! | `fig13` | Tile-size sensitivity |
 //! | `fig14` | Core/instance scaling |
+//! | `main_results` | Figures 9–11 from one set of runs |
 //! | `table4` | Area and power model |
 //! | `ablation` | Reorder/coalesce/interleave/LLC-injection ablations |
 //!
@@ -33,13 +34,15 @@
 //!   Never changes simulated results: `RunStats` are bit-identical with
 //!   the flag on or off.
 //!
-//! Sweep-execution flags (row-based figure binaries):
+//! Sweep-execution flags (every binary that runs kernels):
 //!
-//! * `--threads <n>` — worker threads for the kernel × machine sweep
-//!   (default: available cores); each (kernel, machine) job runs on the
-//!   shared pool. Every output — tables, `--json` reports, epoch series,
-//!   `--trace` files — is bit-identical at any thread count; only
-//!   wall-clock time and stderr progress order change.
+//! * `--threads <n>` — worker threads for the figure's job list
+//!   (default: available cores). Each binary builds its kernel runs as a
+//!   list of [`Job`]s up front and runs them as one in-order batch on the
+//!   worker pool ([`run_jobs`]). Every output — tables, `--profile`
+//!   summaries, `--json` reports, epoch series, `--trace` files — is
+//!   bit-identical at any thread count; only wall-clock time and stderr
+//!   progress order change.
 //! * `--seed <n>` — dataset seed (default 1); runs are bit-reproducible
 //!   for a given seed regardless of thread count.
 
@@ -47,17 +50,17 @@ pub mod jobspec;
 pub mod progress;
 pub mod sweep;
 
-pub use jobspec::{machine_config, JobCli, JobSpec};
+pub use jobspec::{machine_config, Job, JobCli, JobSpec};
 pub use progress::Progress;
-pub use sweep::{run_figure, FigureRun, WalltimeEntry};
+pub use sweep::{run_figure, run_jobs, FigureRun, WalltimeEntry};
 
 use std::path::{Path, PathBuf};
 
 use dx100_common::json::{obj, Json};
 use dx100_common::trace::chrome_trace_json;
 use dx100_sim::report::{run_stats_json, SCHEMA_VERSION};
-use dx100_sim::{ObservabilityConfig, RunStats};
-use dx100_workloads::WorkloadResult;
+use dx100_sim::{ObservabilityConfig, RunStats, SystemConfig};
+use dx100_workloads::{Mode, WorkloadResult};
 
 /// Measurements for one kernel across the machines of interest.
 #[derive(Debug, Clone)]
@@ -84,6 +87,18 @@ impl KernelRow {
             .as_ref()
             .map(|d| self.dx100.stats.speedup_over(&d.stats))
     }
+
+    /// The row's runs with their machine labels, in baseline / dx100 /
+    /// dmp order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (&'static str, &WorkloadResult)> {
+        [
+            ("baseline", Some(&self.baseline)),
+            ("dx100", Some(&self.dx100)),
+            ("dmp", self.dmp.as_ref()),
+        ]
+        .into_iter()
+        .filter_map(|(mode, w)| Some((mode, w?)))
+    }
 }
 
 /// Command-line arguments shared by the figure binaries.
@@ -101,7 +116,7 @@ pub struct BenchArgs {
     /// utilization counters per component, a `profile` section per run in
     /// the `--json` report, and a printed bottleneck summary.
     pub profile: bool,
-    /// Worker threads for the kernel × machine sweep (`--threads`), with
+    /// Worker threads for the figure's job list (`--threads`), with
     /// bit-identical output at any value.
     pub threads: usize,
     /// Dataset seed (`--seed`).
@@ -205,17 +220,30 @@ impl BenchArgs {
         }
     }
 
+    /// A job running `kernel` at `scale` in `mode` on `cfg`, with this
+    /// command line's seed and `--profile` switch.
+    pub fn job(&self, kernel: &str, scale: f64, mode: Mode, mut cfg: SystemConfig) -> Job {
+        cfg.obs.profile = self.profile;
+        Job {
+            kernel: kernel.to_string(),
+            scale,
+            mode,
+            seed: self.seed,
+            cfg,
+        }
+    }
+
     /// Prints each kernel's bottleneck summary (no-op without `--profile`).
     /// Call after the figure's table so the report reads top-down.
     pub fn print_profile(&self, rows: &[KernelRow]) {
-        if !self.profile {
-            return;
+        for r in rows {
+            for (mode, w) in r.runs() {
+                self.print_run_profile(&format!("{}/{mode}", r.name), w);
+            }
         }
-        print_bottlenecks(rows);
     }
 
-    /// Prints one run's bottleneck summary under `label` — for figure
-    /// binaries whose sweeps do not produce [`KernelRow`]s. No-op without
+    /// Prints one run's bottleneck summary under `label`. No-op without
     /// `--profile` or when the run carries no attribution.
     pub fn print_run_profile(&self, label: &str, w: &WorkloadResult) {
         if !self.profile {
@@ -255,22 +283,6 @@ impl BenchArgs {
             eprintln!("wrote report to {}", path.display());
         }
     }
-
-    /// Writes the report / trace files requested on the command line.
-    /// Call once after the figure's rows are measured.
-    pub fn emit_artifacts(&self, generator: &str, rows: &[KernelRow]) {
-        if let Some(path) = &self.json {
-            write_or_die(
-                path,
-                &(report_json(generator, self.scale, rows).to_string() + "\n"),
-            );
-            eprintln!("wrote report to {}", path.display());
-        }
-        if let Some(path) = &self.trace {
-            write_or_die(path, &trace_json(rows));
-            eprintln!("wrote trace to {} (open in Perfetto)", path.display());
-        }
-    }
 }
 
 fn write_or_die(path: &Path, contents: &str) {
@@ -299,29 +311,13 @@ pub fn report_json(generator: &str, scale: f64, rows: &[KernelRow]) -> Json {
 
 /// One run's JSON: [`run_stats_json`] plus the run's telemetry (skip
 /// counters always; the versioned `profile` section when `--profile`
-/// was on, `null` otherwise).
-fn run_json(w: &WorkloadResult) -> Json {
+/// was on, `null` otherwise). Figure reports and job reports share it.
+pub(crate) fn run_json(w: &WorkloadResult) -> Json {
     let mut j = run_stats_json(&w.stats);
     if let Json::Obj(fields) = &mut j {
         fields.push(("telemetry".to_string(), w.telemetry.to_json()));
     }
     j
-}
-
-/// Prints the per-run bottleneck summaries for every profiled run.
-pub fn print_bottlenecks(rows: &[KernelRow]) {
-    for r in rows {
-        for (mode, w) in [
-            ("baseline", Some(&r.baseline)),
-            ("dx100", Some(&r.dx100)),
-            ("dmp", r.dmp.as_ref()),
-        ] {
-            if let Some(p) = w.and_then(|w| w.telemetry.profile.as_ref()) {
-                println!("-- {}/{mode}", r.name);
-                print!("{}", p.bottleneck_summary());
-            }
-        }
-    }
 }
 
 fn row_json(r: &KernelRow) -> Json {
@@ -361,21 +357,15 @@ fn row_json(r: &KernelRow) -> Json {
 pub fn trace_json(rows: &[KernelRow]) -> String {
     let mut runs = Vec::new();
     for r in rows {
-        for (mode, result) in [
-            ("baseline", Some(&r.baseline)),
-            ("dx100", Some(&r.dx100)),
-            ("dmp", r.dmp.as_ref()),
-        ] {
-            if let Some(buf) = result.and_then(|w| w.stats.trace.as_ref()) {
+        for (mode, w) in r.runs() {
+            if let Some(buf) = &w.stats.trace {
                 runs.push((format!("{}/{mode}", r.name), buf));
             }
             // Profile counter curves live outside `RunStats.trace` (so the
             // trace stays byte-identical with `--profile` on or off); merge
             // them into the viewer file as their own process.
-            if let Some(buf) = result.and_then(|w| w.telemetry.counters.as_ref()) {
-                if !buf.is_empty() {
-                    runs.push((format!("{}/{mode}/profile", r.name), buf));
-                }
+            if let Some(buf) = w.telemetry.counters.as_ref().filter(|b| !b.is_empty()) {
+                runs.push((format!("{}/{mode}/profile", r.name), buf));
             }
         }
     }
@@ -412,6 +402,81 @@ pub fn print_geomean(label: &str, values: &[f64]) {
         dx100_common::stats::geomean(values),
         values.len()
     );
+}
+
+/// Prints the Figure 9 table: DX100 speedup per kernel and the geomean.
+pub fn print_fig09(rows: &[KernelRow]) {
+    let table: Vec<(String, Vec<f64>)> = rows
+        .iter()
+        .map(|r| (r.name.to_string(), vec![r.speedup()]))
+        .collect();
+    let speeds: Vec<f64> = rows.iter().map(KernelRow::speedup).collect();
+    println!("\nFigure 9 — DX100 speedup over baseline (paper: geomean 2.6x)");
+    print_table(&["speedup"], &table);
+    print_geomean("fig09", &speeds);
+}
+
+/// Prints the Figure 10 table: bandwidth utilization, row-buffer hit rate
+/// and request-buffer occupancy, baseline vs DX100, with geomean gains.
+pub fn print_fig10(rows: &[KernelRow]) {
+    println!("\nFigure 10 — memory-system metrics (paper: 3.9x BW, 2.7x RBH, 12.1x occupancy)");
+    println!(
+        "{:<8} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8}",
+        "kernel", "bw-b%", "bw-dx%", "rbh-b%", "rbh-dx%", "occ-b", "occ-dx"
+    );
+    let (mut bwg, mut rbhg, mut occg) = (vec![], vec![], vec![]);
+    for r in rows {
+        let (b, d) = (&r.baseline.stats, &r.dx100.stats);
+        println!(
+            "{:<8} {:>9.1} {:>9.1} {:>8.1} {:>8.1} {:>8.3} {:>8.3}",
+            r.name,
+            b.bandwidth_utilization() * 100.0,
+            d.bandwidth_utilization() * 100.0,
+            b.row_buffer_hit_rate() * 100.0,
+            d.row_buffer_hit_rate() * 100.0,
+            b.request_buffer_occupancy(),
+            d.request_buffer_occupancy(),
+        );
+        if b.bandwidth_utilization() > 0.0 {
+            bwg.push(d.bandwidth_utilization() / b.bandwidth_utilization());
+        }
+        if b.row_buffer_hit_rate() > 0.0 {
+            rbhg.push(d.row_buffer_hit_rate() / b.row_buffer_hit_rate());
+        }
+        if b.request_buffer_occupancy() > 0.0 {
+            occg.push(d.request_buffer_occupancy() / b.request_buffer_occupancy());
+        }
+    }
+    print_geomean("fig10a bandwidth gain", &bwg);
+    print_geomean("fig10b row-buffer-hit gain", &rbhg);
+    print_geomean("fig10c occupancy gain", &occg);
+}
+
+/// Prints the Figure 11 table: dynamic instruction and cache MPKI
+/// reduction per kernel, with geomeans.
+pub fn print_fig11(rows: &[KernelRow]) {
+    println!("\nFigure 11 — core-side effects (paper: 3.6x instruction cut, 6.1x MPKI cut)");
+    println!(
+        "{:<8} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}",
+        "kernel", "instr-b", "instr-dx", "i-cut", "mpki-b", "mpki-dx", "m-cut"
+    );
+    let (mut icut, mut mcut) = (vec![], vec![]);
+    for r in rows {
+        let (b, d) = (&r.baseline.stats, &r.dx100.stats);
+        let ic = b.instructions as f64 / d.instructions.max(1) as f64;
+        let (mb, md) = (b.total_mpki(), d.total_mpki());
+        let mc = if md > 0.0 { mb / md } else { f64::NAN };
+        println!(
+            "{:<8} {:>12} {:>12} {:>7.2}x {:>10.2} {:>10.2} {:>7.2}x",
+            r.name, b.instructions, d.instructions, ic, mb, md, mc
+        );
+        icut.push(ic);
+        if mc.is_finite() && mc > 0.0 {
+            mcut.push(mc);
+        }
+    }
+    print_geomean("fig11a instruction reduction", &icut);
+    print_geomean("fig11b MPKI reduction", &mcut);
 }
 
 /// Formats the headline stats of one run (debug helper).

@@ -1,18 +1,47 @@
-//! The figure sweep: the one entry point row-based figure binaries call.
-//!
-//! Every kernel × machine pair is an independent full-fidelity job on the
-//! shared deterministic pool ([`run_parallel`]), timed per job so each
-//! figure also emits a `<generator>_sim_walltime.json`.
+//! Figure sweeps: every kernel-running binary builds its [`Job`] list up
+//! front and runs it as one in-order batch on the worker pool
+//! ([`run_jobs`]). Row-based figures go through [`run_figure`], which also
+//! emits a `<generator>_sim_walltime.json`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use dx100_common::json::{obj, Json};
-use dx100_common::pool::run_parallel;
+use dx100_common::pool::WorkerPool;
 use dx100_sim::report::SCHEMA_VERSION;
-use dx100_sim::SystemConfig;
-use dx100_workloads::{all_kernels, Mode, Scale, WorkloadResult};
+use dx100_workloads::{Mode, WorkloadResult};
 
+use crate::jobspec::{kernel_names, Job};
 use crate::{machine_config, report_json, trace_json, BenchArgs, KernelRow, Progress};
+
+/// Runs `jobs` on `threads` workers, reporting progress under the sweep
+/// name `what`, and returns every result with its host seconds, in job
+/// order — so anything printed from the results is identical at any
+/// thread count. Each job builds its entire driver state (dataset,
+/// `System`, observability sinks) on its worker and is timed with its own
+/// [`Instant`] span, so per-job seconds stay accurate under concurrency.
+/// A job panic (a failed output verification) aborts the batch once the
+/// other jobs have finished.
+pub fn run_jobs(what: &str, jobs: Vec<Job>, threads: usize) -> Vec<(WorkloadResult, f64)> {
+    let progress = Arc::new(Progress::new(jobs.len()));
+    progress.header(what, threads.clamp(1, jobs.len().max(1)));
+    let tasks: Vec<_> = jobs
+        .into_iter()
+        .map(|job| {
+            let progress = Arc::clone(&progress);
+            move || {
+                let label = format!("{}/{}", job.kernel, job.mode.label());
+                progress.start(&label);
+                let t = Instant::now();
+                let r = job.run();
+                let secs = t.elapsed().as_secs_f64();
+                progress.finish(&label, secs);
+                (r, secs)
+            }
+        })
+        .collect();
+    WorkerPool::run_ordered(tasks, threads)
+}
 
 /// Wall-clock seconds spent simulating one kernel × machine.
 #[derive(Debug, Clone)]
@@ -47,57 +76,36 @@ pub struct FigureRun {
 /// `args.threads` workers, returning the figure rows plus one walltime
 /// entry per job.
 ///
-/// Jobs are enumerated up front, kernel-major with machines in baseline /
-/// dx100 / dmp order, and the shared pool collects results in that job
-/// order — so rows, and everything derived from them, are bit-identical at
-/// any thread count. Each job constructs its entire driver state (dataset
-/// walk, `System`, observability sinks) on its worker thread and is timed
-/// with its own [`Instant`] span, so per-job seconds stay accurate under
-/// concurrency. Machines come from [`machine_config`], the same
-/// constructor the job/serve path resolves specs through.
+/// Jobs are enumerated kernel-major with machines in baseline / dx100 /
+/// dmp order and run by [`run_jobs`], so rows, and everything derived from
+/// them, are bit-identical at any thread count. Machines come from
+/// [`machine_config`], the same constructor the job/serve path resolves
+/// specs through.
 pub fn run_figure(args: &BenchArgs, with_dmp: bool) -> FigureRun {
     let start = Instant::now();
-    let kernels = all_kernels(Scale(args.scale));
+    let kernels = kernel_names();
     let machines: &[Mode] = if with_dmp {
         &[Mode::Baseline, Mode::Dx100, Mode::Dmp]
     } else {
         &[Mode::Baseline, Mode::Dx100]
     };
-    let modes: Vec<(Mode, SystemConfig)> = machines
-        .iter()
-        .map(|&m| {
-            let mut cfg = machine_config(m);
-            cfg.obs = args.observability();
-            (m, cfg)
-        })
-        .collect();
-    let jobs = kernels.len() * modes.len();
-    let threads = args.threads.clamp(1, jobs.max(1));
-    let progress = Progress::new(jobs);
-    progress.header("full sweep", threads);
-    let mut tasks: Vec<Box<dyn FnOnce() -> (WorkloadResult, f64) + Send + '_>> = Vec::new();
+    let mut jobs = Vec::with_capacity(kernels.len() * machines.len());
     for kernel in &kernels {
-        for (mode, cfg) in &modes {
-            let progress = &progress;
-            tasks.push(Box::new(move || {
-                let label = format!("{}/{}", kernel.name(), mode.label());
-                progress.start(&label);
-                let t = Instant::now();
-                let r = kernel.run(*mode, cfg, args.seed);
-                let secs = t.elapsed().as_secs_f64();
-                progress.finish(&label, secs);
-                (r, secs)
-            }));
+        for &mode in machines {
+            let mut cfg = machine_config(mode);
+            cfg.obs = args.observability();
+            jobs.push(args.job(kernel, args.scale, mode, cfg));
         }
     }
-    let mut results = run_parallel(tasks, threads).into_iter();
+    let threads = args.threads.clamp(1, jobs.len().max(1));
+    let mut results = run_jobs("full sweep", jobs, threads).into_iter();
     let mut rows = Vec::with_capacity(kernels.len());
-    let mut walltime = Vec::with_capacity(jobs);
-    for kernel in &kernels {
+    let mut walltime = Vec::with_capacity(results.len());
+    for kernel in kernels {
         let mut take = |mode: Mode| {
             let (r, secs) = results.next().expect("one result per enumerated job");
             walltime.push(WalltimeEntry {
-                kernel: kernel.name(),
+                kernel,
                 config: mode.label(),
                 seconds: secs,
                 skipped_cycles: r.telemetry.skipped_cycles,
@@ -106,7 +114,7 @@ pub fn run_figure(args: &BenchArgs, with_dmp: bool) -> FigureRun {
             r
         };
         rows.push(KernelRow {
-            name: kernel.name(),
+            name: kernel,
             baseline: take(Mode::Baseline),
             dx100: take(Mode::Dx100),
             dmp: with_dmp.then(|| take(Mode::Dmp)),

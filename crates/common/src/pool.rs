@@ -1,75 +1,48 @@
-//! Worker pools shared by every parallel driver in the workspace.
+//! The worker pool shared by every parallel driver in the workspace.
 //!
-//! Two shapes:
+//! [`WorkerPool`] runs boxed tasks FIFO on a fixed set of worker threads.
+//! It serves two shapes of work:
 //!
-//! * [`run_parallel`] — a *scoped batch*: all tasks known up front,
-//!   numbered at submission; workers pull them from a shared queue in
-//!   that order and write each result into a slot indexed by task id, so
-//!   the returned vector is in *task order* for any worker count — the
-//!   foundation of the bench harness's "bit-identical at any `--threads`"
-//!   guarantee. Only scheduling (which worker runs which task, and when)
-//!   varies with the thread count; every observable output is fixed.
-//!   Used by the figure sweeps' (kernel × machine) job matrix.
-//! * [`WorkerPool`] — a *long-lived* pool for open-ended work: tasks
-//!   arrive over time (the `dx100-serve` job scheduler submits one per
-//!   accepted simulation job) and run FIFO on a fixed set of worker
-//!   threads. Results travel through whatever channel the task captures;
-//!   the pool only guarantees execution. [`WorkerPool::shutdown`] drains:
-//!   queued and in-flight tasks finish before the workers exit, so a
-//!   graceful daemon shutdown never abandons an accepted job.
+//! * *Open-ended*: tasks arrive over time (the `dx100-serve` job scheduler
+//!   submits one per accepted simulation job). Results travel through
+//!   whatever channel the task captures; the pool only guarantees
+//!   execution.
+//! * *A batch* ([`WorkerPool::run_ordered`]): all jobs known up front,
+//!   numbered at submission. Each job sends `(index, result)` down a
+//!   channel and the collector places results by index, so the returned
+//!   vector is in *job order* for any worker count — the foundation of
+//!   the bench harness's "bit-identical at any `--threads`" guarantee.
+//!   Only scheduling (which worker runs which job, and when) varies with
+//!   the thread count; every observable output is fixed. Every figure
+//!   binary runs its kernel jobs this way.
+//!
+//! A panicking task never takes its worker down: the worker catches the
+//! unwind, keeps serving the queue, and [`WorkerPool::shutdown`] re-raises
+//! the first panic once every worker has been joined. So a batch with a
+//! failing job still aborts, but only after the other jobs finished.
+//!
+//! [`WorkerPool::shutdown`] drains: queued and in-flight tasks finish
+//! before the workers exit, so a graceful daemon shutdown never abandons
+//! an accepted job.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-
-/// A boxed one-shot task submitted to [`run_parallel`].
-pub type PoolTask<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
-
-/// Runs `tasks` on `threads` worker threads, returning results in task
-/// order. Results are written into pre-sized slots indexed by task id, so
-/// the output is identical for any thread count.
-///
-/// `threads` is clamped to `1..=tasks.len()`; surplus workers would only
-/// contend on the queue. Panics in a task propagate: the scope join
-/// re-raises the worker's panic, so a poisoned run never returns partial
-/// results.
-pub fn run_parallel<'a, T: Send>(tasks: Vec<PoolTask<'a, T>>, threads: usize) -> Vec<T> {
-    let n = tasks.len();
-    let threads = threads.clamp(1, n.max(1));
-    let queue: Mutex<VecDeque<(usize, PoolTask<'a, T>)>> =
-        Mutex::new(tasks.into_iter().enumerate().collect());
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = queue.lock().unwrap().pop_front();
-                match job {
-                    Some((i, task)) => {
-                        let r = task();
-                        *slots[i].lock().unwrap() = Some(r);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap()
-                .expect("worker completed every task")
-        })
-        .collect()
-}
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 /// A task submitted to a [`WorkerPool`]; any result is communicated
 /// through state the closure captures.
 pub type QueueTask = Box<dyn FnOnce() + Send + 'static>;
 
+/// A caught panic payload.
+type Panic = Box<dyn Any + Send>;
+
 struct PoolShared {
     queue: Mutex<PoolQueue>,
     /// Signaled on submission and on shutdown.
     work: Condvar,
+    /// The first task panic, re-raised by [`WorkerPool::shutdown`].
+    panic: Mutex<Option<Panic>>,
 }
 
 struct PoolQueue {
@@ -92,6 +65,7 @@ impl WorkerPool {
                 draining: false,
             }),
             work: Condvar::new(),
+            panic: Mutex::new(None),
         });
         let workers = (0..threads.max(1))
             .map(|i| {
@@ -111,12 +85,46 @@ impl WorkerPool {
                                 q = shared.work.wait(q).unwrap();
                             }
                         };
-                        task();
+                        if let Err(p) = catch_unwind(AssertUnwindSafe(task)) {
+                            let mut first = shared.panic.lock().expect("panic slot never poisoned");
+                            first.get_or_insert(p);
+                        }
                     })
                     .expect("spawn pool worker")
             })
             .collect();
         WorkerPool { shared, workers }
+    }
+
+    /// Runs `jobs` as one batch on `threads` workers (clamped to
+    /// `1..=jobs.len()`) and returns their results in job order, whatever
+    /// order they finished in. A panicking job re-raises here after every
+    /// other job has run and every worker has been joined.
+    pub fn run_ordered<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let n = jobs.len();
+        let pool = WorkerPool::new(threads.clamp(1, n.max(1)));
+        let (tx, rx) = mpsc::channel();
+        for (i, job) in jobs.into_iter().enumerate() {
+            let tx = tx.clone();
+            pool.submit(Box::new(move || {
+                // The receiver outlives the pool, so the send cannot fail.
+                let _ = tx.send((i, job()));
+            }));
+        }
+        drop(tx);
+        pool.shutdown();
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        for (i, r) in rx {
+            slots[i] = Some(r);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every job reported"))
+            .collect()
     }
 
     /// Enqueues a task; it runs FIFO on the next free worker.
@@ -143,23 +151,38 @@ impl WorkerPool {
     }
 
     /// Graceful drain: stops accepting work, lets every queued and
-    /// in-flight task finish, and joins the workers. A worker panic
-    /// propagates after the others have been joined.
+    /// in-flight task finish, and joins the workers. The first task panic
+    /// propagates after all workers have been joined.
     pub fn shutdown(mut self) {
         {
             let mut q = self.shared.queue.lock().unwrap();
             q.draining = true;
         }
         self.shared.work.notify_all();
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         for w in self.workers.drain(..) {
-            if let Err(p) = w.join() {
-                panic = Some(p);
-            }
+            w.join().expect("pool workers catch task panics");
         }
-        if let Some(p) = panic {
+        let first = self
+            .shared
+            .panic
+            .lock()
+            .expect("panic slot never poisoned")
+            .take();
+        if let Some(p) = first {
             std::panic::resume_unwind(p);
         }
+    }
+}
+
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string); a fixed placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s.to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -170,54 +193,71 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn preserves_task_order_for_any_thread_count() {
-        let make = || -> Vec<Box<dyn FnOnce() -> usize + Send>> {
-            (0..37usize)
-                .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-                .collect()
-        };
+    fn run_ordered_preserves_job_order_for_any_thread_count() {
         let expect: Vec<usize> = (0..37usize).map(|i| i * i).collect();
         for threads in [1, 3, 8, 64] {
-            assert_eq!(run_parallel(make(), threads), expect);
+            let jobs: Vec<_> = (0..37usize).map(|i| move || i * i).collect();
+            assert_eq!(WorkerPool::run_ordered(jobs, threads), expect);
         }
     }
 
     #[test]
-    fn preserves_order_under_adversarial_durations() {
-        // Early tasks sleep longest, so under any concurrency > 1 the
+    fn run_ordered_preserves_order_under_adversarial_durations() {
+        // Early jobs sleep longest, so under any concurrency > 1 the
         // *completion* order inverts the submission order; the returned
         // vector must still be in submission order.
         let n = 16usize;
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..n)
+        let jobs: Vec<_> = (0..n)
             .map(|i| {
-                Box::new(move || {
+                move || {
                     std::thread::sleep(Duration::from_millis((n - i) as u64 * 3));
                     i
-                }) as Box<dyn FnOnce() -> usize + Send>
+                }
             })
             .collect();
-        assert_eq!(run_parallel(tasks, 8), (0..n).collect::<Vec<_>>());
+        assert_eq!(WorkerPool::run_ordered(jobs, 8), (0..n).collect::<Vec<_>>());
     }
 
     #[test]
-    fn empty_and_oversubscribed_inputs() {
-        let empty: Vec<Box<dyn FnOnce() -> u8 + Send>> = Vec::new();
-        assert!(run_parallel(empty, 4).is_empty());
-        let one: Vec<Box<dyn FnOnce() -> u8 + Send>> = vec![Box::new(|| 42)];
-        assert_eq!(run_parallel(one, 1000), vec![42]);
+    fn run_ordered_empty_and_oversubscribed_inputs() {
+        let empty: Vec<fn() -> u8> = Vec::new();
+        assert!(WorkerPool::run_ordered(empty, 4).is_empty());
+        assert_eq!(WorkerPool::run_ordered(vec![|| 42u8], 1000), vec![42]);
     }
 
     #[test]
-    fn borrows_locals_across_the_scope() {
-        // The 'a lifetime lets tasks capture references to caller state —
-        // the figure sweep borrows its kernels and progress meter this way.
-        let data: Vec<u64> = (0..10).collect();
-        let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = data
-            .iter()
-            .map(|v| Box::new(move || v * 2) as Box<dyn FnOnce() -> u64 + Send + '_>)
+    fn run_ordered_panic_aborts_after_every_other_job_ran() {
+        let done = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<_> = (0..8usize)
+            .map(|i| {
+                let done = Arc::clone(&done);
+                move || {
+                    assert!(i != 2, "job 2 failed");
+                    done.fetch_add(1, Ordering::SeqCst);
+                }
+            })
             .collect();
-        let doubled = run_parallel(tasks, 3);
-        assert_eq!(doubled, (0..10).map(|v| v * 2).collect::<Vec<_>>());
+        let err = catch_unwind(AssertUnwindSafe(|| WorkerPool::run_ordered(jobs, 2)))
+            .expect_err("a panicking job aborts the batch");
+        assert_eq!(panic_message(&*err), "job 2 failed");
+        assert_eq!(done.load(Ordering::SeqCst), 7);
+    }
+
+    #[test]
+    fn worker_survives_a_panicking_task_and_shutdown_reraises() {
+        // One worker: if the panic killed it, the counting task queued
+        // behind it would never run.
+        let pool = WorkerPool::new(1);
+        let count = Arc::new(AtomicUsize::new(0));
+        pool.submit(Box::new(|| panic!("boom")));
+        let c = Arc::clone(&count);
+        pool.submit(Box::new(move || {
+            c.fetch_add(1, Ordering::SeqCst);
+        }));
+        let err = catch_unwind(AssertUnwindSafe(|| pool.shutdown()))
+            .expect_err("shutdown re-raises the task panic");
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert_eq!(panic_message(&*err), "boom");
     }
 
     #[test]

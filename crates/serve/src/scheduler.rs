@@ -11,16 +11,21 @@
 //!    the same config (the common thundering-herd shape under repeated
 //!    traffic).
 //! 3. **Scheduled** — a worker runs [`JobSpec::run`], the report is
-//!    written to the cache, and every waiter wakes.
+//!    written to the cache, and every waiter wakes. A job that panics (a
+//!    failed output verification, a deadlock assert) ends `Failed` with
+//!    the panic message: it is not cached, its waiters wake, and the
+//!    worker stays in the pool.
 //!
 //! [`Scheduler::shutdown`] drains: queued and in-flight jobs finish (and
 //! land in the cache) before it returns.
 
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
 use dx100_bench::JobSpec;
-use dx100_common::pool::WorkerPool;
+use dx100_common::json::Json;
+use dx100_common::pool::{panic_message, WorkerPool};
 
 use crate::cache::ResultCache;
 
@@ -139,8 +144,15 @@ impl Scheduler {
 
     /// Submits `spec`: cache lookup, then coalesce, then schedule.
     pub fn submit(&self, spec: JobSpec) -> Submitted {
-        let key = spec.cache_key();
+        self.schedule(spec.cache_key(), move || spec.run(1))
+    }
 
+    /// Resolves a submission keyed `key` whose simulation is `run`.
+    fn schedule(
+        &self,
+        key: String,
+        run: impl FnOnce() -> Result<Json, String> + Send + 'static,
+    ) -> Submitted {
         // 1. Cache hit: the job is born done.
         if let Some(body) = self.inner.cache.get(&key) {
             let mut st = self.inner.state.lock().unwrap();
@@ -202,7 +214,8 @@ impl Scheduler {
                     rec.status = JobStatus::Running;
                 }
             }
-            let outcome = spec.run(1);
+            let outcome = catch_unwind(AssertUnwindSafe(run))
+                .unwrap_or_else(|p| Err(format!("job panicked: {}", panic_message(&*p))));
             let mut st = inner.state.lock().unwrap();
             match outcome {
                 Ok(report) => {
@@ -339,6 +352,27 @@ mod tests {
         // and that a failing spec never poisons the cache dir.
         assert!(sched.get(999).is_none());
         assert!(sched.wait(999).is_none());
+        sched.shutdown();
+    }
+
+    #[test]
+    fn panicking_job_fails_uncached_and_keeps_its_worker() {
+        // One worker: the job queued behind the panicking one only runs
+        // if the worker survived the panic.
+        let sched = scheduler("panic", 1);
+        let key = "00000000deadbeef".to_string();
+        let failed = sched.schedule(key.clone(), || panic!("verification failed"));
+        let next = sched.submit(tiny("is"));
+        let view = sched.wait(failed.view.id).unwrap();
+        assert_eq!(view.status, JobStatus::Failed);
+        assert_eq!(
+            view.error.as_deref(),
+            Some("job panicked: verification failed")
+        );
+        assert!(sched.cache().get(&key).is_none(), "a failed job is cached");
+        let done = sched.wait(next.view.id).unwrap();
+        assert_eq!(done.status, JobStatus::Done { cached: false });
+        assert_eq!(sched.in_flight(), 0);
         sched.shutdown();
     }
 

@@ -168,7 +168,9 @@ impl KernelRun for ConjugateGradient {
         let nnz = d.m.nnz();
 
         let mut phases = vec![Phase::RoiBegin];
-        let mut verify_tile: Option<(TileId, usize, usize)> = None;
+        // The last gathered tile, with the core that issued it: that core's
+        // engine holds the tile on a multi-instance machine.
+        let mut verify_tile: Option<(TileId, usize, usize, usize)> = None;
         match mode {
             Mode::Baseline | Mode::Dmp => {
                 if mode == Mode::Dmp {
@@ -207,7 +209,7 @@ impl KernelRun for ConjugateGradient {
                 let tiles = split_tiles(nnz, tile);
                 let (h_col, h_val, h_x) = (d.h_col, d.h_val, d.h_x);
                 if let Some((k, (lo, hi))) = tiles.iter().enumerate().next_back() {
-                    verify_tile = Some((tile_set4(k)[1], *lo, *hi));
+                    verify_tile = Some((tile_set4(k)[1], k % cores, *lo, *hi));
                 }
                 phases.push(Phase::setup(move |sys| {
                     let jobs: Vec<TileJob> = tiles
@@ -270,8 +272,12 @@ impl KernelRun for ConjugateGradient {
 
         if mode == Mode::Dx100 {
             // Verify the final gathered tile against x[col[j]].
-            let (t, lo, hi) = verify_tile.expect("at least one tile");
-            let got = sys.dx100_ref(0).tile(t).valid().to_vec();
+            let (t, core, lo, hi) = verify_tile.expect("at least one tile");
+            let got = sys
+                .dx100_ref(sys.engine_of_core(core))
+                .tile(t)
+                .valid()
+                .to_vec();
             assert_eq!(got.len(), hi - lo);
             for (i, lane) in got.iter().enumerate() {
                 let c = d.m.cols[lo + i] as usize;

@@ -74,8 +74,13 @@ fn tile_size_sweep_stays_correct() {
 fn scaled_eight_core_two_instance_machine_verifies() {
     // Figure 14's largest machine: 8 cores, 4 channels, 2 DX100 instances
     // with region coherence between them.
+    // cg at Scale(0.04) has enough tiles that its last (verified) tile is
+    // issued by a core attached to the second instance.
     let cfg = SystemConfig::scaled(8, 2);
-    for kernel in all_kernels(TINY) {
+    let cg = all_kernels(Scale(0.04))
+        .into_iter()
+        .filter(|k| k.name() == "cg");
+    for kernel in all_kernels(TINY).into_iter().chain(cg) {
         let r = kernel.run(Mode::Dx100, &cfg, 21);
         assert!(r.stats.cycles > 0, "{} on 8c/2x", kernel.name());
     }
