@@ -214,9 +214,7 @@ impl ChannelController {
         self.stats
             .occupancy
             .sample(self.buffer.len() as f64 / self.config.request_buffer_size as f64);
-        self.stats.data_busy_ticks = self.channel.data_busy_ticks - self.stats.data_busy_base;
-        self.stats.activates = self.channel.activates - self.stats.act_base;
-        self.stats.precharges = self.channel.precharges - self.stats.pre_base;
+        self.sync_channel_counters();
         if let Some(p) = &mut self.profile {
             p.queue_depth.record(self.buffer.len() as u64);
         }
@@ -530,12 +528,21 @@ impl ChannelController {
         ev
     }
 
+    /// Re-derives the ROI counters (`data_busy_ticks`, `activates`,
+    /// `precharges`) from the channel's running totals. Every tick takes
+    /// this snapshot *before* it schedules, so a read between ticks misses
+    /// the last tick's command until the next tick (real or credited).
+    fn sync_channel_counters(&mut self) {
+        self.stats.data_busy_ticks = self.channel.data_busy_ticks - self.stats.data_busy_base;
+        self.stats.activates = self.channel.activates - self.stats.act_base;
+        self.stats.precharges = self.channel.precharges - self.stats.pre_base;
+    }
+
     /// Credits `n` skipped ticks' worth of bookkeeping starting at tick
     /// `from`: bit-identical to `n` [`ChannelController::tick`] calls that
-    /// each took the bookkeeping-only path. The derived counters
-    /// (`data_busy_ticks`, `activates`, `precharges`) are snapshots
-    /// re-assigned on every real tick and cannot move while no command
-    /// issues, so they need no update here.
+    /// each took the bookkeeping-only path. No command issues in the span,
+    /// but its first tick's snapshot of the derived counters still picks
+    /// up the command of the last real tick, so they are re-derived here.
     ///
     /// The skip certificate guarantees the span is command-free, but it may
     /// still overlap a tRFC refresh window (`next_event` names
@@ -543,7 +550,11 @@ impl ChannelController {
     /// The profiled refresh/idle split therefore falls out of the frozen
     /// `refresh_until` watermark.
     pub fn credit_idle_ticks(&mut self, from: Cycle, n: u64) {
+        if n == 0 {
+            return;
+        }
         self.stats.ticks += n;
+        self.sync_channel_counters();
         self.stats.occupancy.sample_n(
             self.buffer.len() as f64 / self.config.request_buffer_size as f64,
             n,

@@ -123,16 +123,12 @@ pub struct System {
     skipped_cycles: u64,
     /// Telemetry: number of quiescent spans entered.
     skip_events: u64,
-    /// Cached quiescence certificate: cycles before this one may be elided
-    /// without re-checking the machine. Invalidated by every driver-facing
-    /// mutation (see [`System::wake`]).
-    skip_until: Cycle,
     /// Start of the engines' and DRAM's elided-but-uncredited span
-    /// `[span_start, clock)`. While a certificate is live, elided cycles
-    /// only advance the clock; their stat/trace bookkeeping is credited in
-    /// one batched [`System::settle_elided`] call when the span closes
-    /// (certificate expiry or [`System::wake`]). Invariant everywhere
-    /// outside the skip fast path: `span_start == clock`.
+    /// `[span_start, clock)`. Eliding cycles only advances the clock; their
+    /// stat/trace bookkeeping is credited in one batched
+    /// [`System::settle_elided`] call at the next step or
+    /// [`System::wake`]. Invariant everywhere outside that window:
+    /// `span_start == clock`.
     span_start: Cycle,
     /// Per core, the first cycle neither ticked nor credited: a core
     /// certified idle is not ticked, and its cycles `[core_from, now)`
@@ -232,7 +228,6 @@ impl System {
             fill_scratch: Vec::new(),
             skipped_cycles: 0,
             skip_events: 0,
-            skip_until: 0,
             span_start: 0,
             core_from: vec![0; cfg.cores],
             core_wake: vec![0; cfg.cores],
@@ -276,7 +271,6 @@ impl System {
 
     /// Clears a flag for reuse.
     pub fn clear_flag(&mut self, f: FlagId) {
-        self.wake();
         self.flags.clear(f);
     }
 
@@ -290,7 +284,6 @@ impl System {
     /// between offload phases (CG's `x`, hash-join build tables, UME mesh
     /// values); data only ever touched by DX100 keeps the direct-DRAM path.
     pub fn mark_host_resident(&mut self, base: Addr, bytes: u64) {
-        self.wake();
         let first = base >> PAGE_SHIFT;
         let last = (base + bytes.max(1) - 1) >> PAGE_SHIFT;
         for p in first..=last {
@@ -300,14 +293,12 @@ impl System {
 
     /// Appends literal micro-ops to a core's program.
     pub fn push_ops<I: IntoIterator<Item = CoreOp>>(&mut self, core: CoreId, ops: I) {
-        self.wake();
         self.cores[core].channel_mut().push_ops(ops);
         self.cores[core].nudge();
     }
 
     /// Appends a lazy op generator to a core's program.
     pub fn push_stream(&mut self, core: CoreId, gen: impl OpStream + Send + 'static) {
-        self.wake();
         self.cores[core].channel_mut().push_gen(Box::new(gen));
         self.cores[core].nudge();
     }
@@ -399,7 +390,6 @@ impl System {
 
     /// Mutable access to a DX100 instance (functional setup: tiles, PTEs).
     pub fn dx100(&mut self, instance: usize) -> &mut Dx100Engine {
-        self.wake();
         &mut self.engines[instance]
     }
 
@@ -415,7 +405,6 @@ impl System {
 
     /// The application memory image (functional data).
     pub fn image(&mut self) -> &mut MemoryImage {
-        self.wake();
         &mut self.image
     }
 
@@ -432,7 +421,6 @@ impl System {
 
     /// The DMP prefetcher, when configured.
     pub fn dmp_mut(&mut self) -> Option<&mut Dmp> {
-        self.wake();
         self.dmp.as_mut()
     }
 
@@ -453,7 +441,6 @@ impl System {
 
     /// Starts the region of interest: clears all statistics.
     pub fn roi_begin(&mut self) {
-        self.wake();
         self.roi_start = self.clock;
         for c in &mut self.cores {
             c.reset_stats();
@@ -470,10 +457,6 @@ impl System {
 
     /// Ends the region of interest, snapshotting statistics.
     pub fn roi_end(&mut self) {
-        // Any elided-but-uncredited span must be folded into the stats
-        // before the snapshot (and the certificate no longer describes the
-        // machine the driver is about to mutate).
-        self.wake();
         self.roi_snapshot = Some(self.collect_stats());
     }
 
@@ -483,17 +466,24 @@ impl System {
 
     /// Runs `driver` until it reports done and the machine drains.
     ///
+    /// The driver is polled when the run starts and then only on the
+    /// cycle its last status asks for. The condition it waits on — all
+    /// cores idle, or after [`DriverStatus::Done`] the machine drained —
+    /// cannot change inside a quiescent span, so while it is false a
+    /// quiescent span is elided in one clock jump. While it is true the
+    /// next poll (or the end of the run) is due next cycle, so at most
+    /// that cycle is elided.
+    ///
     /// # Panics
     /// Panics if the simulation exceeds the configured `max_cycles`
     /// (deadlocked driver) or a DX100 engine halts on a runtime error.
     pub fn run(&mut self, driver: &mut dyn Driver) -> RunStats {
-        let mut done = false;
+        let mut status = self.poll_driver(driver);
+        let mut awaited = self.holds(status);
         loop {
-            if !done && driver.poll(self) == DriverStatus::Done {
-                done = true;
-            }
-            self.step();
-            if done && self.is_drained() {
+            self.step(!awaited);
+            awaited = self.holds(status);
+            if awaited && status == DriverStatus::Done {
                 break;
             }
             assert!(
@@ -502,8 +492,29 @@ impl System {
                 self.cfg.max_cycles,
                 self.debug_snapshot()
             );
+            if awaited {
+                status = self.poll_driver(driver);
+                awaited = self.holds(status);
+            }
         }
         self.finalize_observability()
+    }
+
+    /// Polls `driver` on a settled machine with every certificate revoked.
+    /// Software touches the machine only here or outside [`System::run`],
+    /// so this is the one place revocation is needed: whatever the driver
+    /// injects is picked up on the very next cycle.
+    fn poll_driver(&mut self, driver: &mut dyn Driver) -> DriverStatus {
+        self.wake();
+        driver.poll(self)
+    }
+
+    /// Whether the condition a driver with `status` waits on holds.
+    fn holds(&self, status: DriverStatus) -> bool {
+        match status {
+            DriverStatus::WaitCoresIdle => self.cores_idle(),
+            DriverStatus::Done => self.is_drained(),
+        }
     }
 
     /// Closes open trace spans, records the final (partial) epoch, and
@@ -635,9 +646,8 @@ impl System {
 
     /// Emits Chrome-trace counter tracks (`"ph":"C"`) for the headline
     /// utilization series, into the profile-only sink. Called only at epoch
-    /// boundaries and at finalization, which the skip certificate never
-    /// elides, so the emitted series is bit-identical with cycle skipping
-    /// on or off.
+    /// boundaries and at finalization, which are never elided, so the
+    /// emitted series is bit-identical with cycle skipping on or off.
     fn emit_profile_counters(&self, now: Cycle, dx100_depth: u64) {
         let Some(root) = &self.profile_trace else {
             return;
@@ -661,13 +671,14 @@ impl System {
     }
 
     /// Event-driven cycle skipping: when every component certifies that the
-    /// current cycle would be pure bookkeeping, cache a quiescence
-    /// certificate up to the earliest cycle at which anything can happen
-    /// and elide the current cycle. [`System::step`] then elides one cycle
-    /// per call until the certificate expires, crediting each elided cycle
-    /// so statistics, epoch samples, and traces stay bit-identical to a
-    /// cycle-by-cycle run. Returns whether the cycle was elided (in which
-    /// case the caller must not run the normal tick).
+    /// current cycle would be pure bookkeeping, elide the quiescent span up
+    /// to the earliest cycle at which anything can happen — all of it when
+    /// `jump`, else just the current cycle (see [`System::run`] for which).
+    /// The elided cycles are credited in one batch by the next
+    /// [`System::settle_elided`], so statistics, epoch samples, and traces
+    /// stay bit-identical to a cycle-by-cycle run. Returns whether the
+    /// cycle was elided (in which case the caller must not run the normal
+    /// tick).
     ///
     /// The per-component probes are the same ones [`System::step`] gates
     /// individual cores and the cache hierarchy on, and their certificates
@@ -677,14 +688,8 @@ impl System {
     /// Safe because every `next_event` implementation is conservative: it
     /// may report an event earlier than anything real (the tick at that
     /// cycle is then a no-op and stepping resumes normally), but never
-    /// later. Eliding one cycle per `step` call — rather than jumping the
-    /// clock across the whole span — keeps the driver's poll cadence
-    /// exactly as in a cycle-by-cycle run: drivers are polled once per
-    /// cycle either way, so even stateful poll sequencing (a driver that
-    /// observes completion on one poll and reports `Done` on the next)
-    /// sees the same clock values. Any driver call that mutates the
-    /// machine revokes the certificate via [`System::wake`].
-    fn try_skip(&mut self) -> bool {
+    /// later.
+    fn try_skip(&mut self, jump: bool) -> bool {
         let now = self.clock;
         // Work queued for this very cycle forbids a skip.
         if !self.dram_retry.is_empty()
@@ -767,7 +772,6 @@ impl System {
         if target <= now {
             return false;
         }
-        self.skip_until = target;
         self.skip_events += 1;
         // Cores idle from this very cycle get it credited now, as their
         // tick would have: it may close a trace span, which must land
@@ -776,10 +780,11 @@ impl System {
             self.credit_first_idle_cycle(c, now);
         }
         // `settle_elided` ran just before `try_skip`, so `span_start ==
-        // now`: eliding is now just the clock increment; crediting is
-        // deferred to the batched `settle_elided` when the span closes.
-        self.skipped_cycles += 1;
-        self.clock = now + 1;
+        // now`: eliding is just moving the clock; crediting is deferred to
+        // the next batched `settle_elided`.
+        let to = if jump { target } else { now + 1 };
+        self.skipped_cycles += to - now;
+        self.clock = to;
         true
     }
 
@@ -845,10 +850,10 @@ impl System {
     /// done (idle accounting, trace span updates, the every-other-cycle
     /// DRAM tick counter). Bit-identical to per-cycle crediting because a
     /// quiescent span's idle classification is constant — its inputs are
-    /// frozen until the certificate expires or is revoked — and all batched
+    /// frozen until the span's target cycle — and all batched
     /// samples sit on a dyadic grid. Cores and the cache hierarchy carry
     /// their own idle spans (`core_from`, `hier_from`). Idempotent, and
-    /// leaves any active skip certificate intact.
+    /// keeps every component certificate.
     fn settle_elided(&mut self) {
         let (from, to) = (self.span_start, self.clock);
         if from >= to {
@@ -873,38 +878,30 @@ impl System {
         self.credit_gated(self.clock);
     }
 
-    /// Revokes the cached quiescence certificates, settling any pending
-    /// idle spans first (the settle must see the pre-mutation machine, so
-    /// driver-facing methods call `wake` *before* mutating state). Every
-    /// driver-facing method that can change machine state calls this, so
-    /// work injected between steps is picked up on the very next cycle.
+    /// Revokes the cores' and the cache hierarchy's idle certificates,
+    /// settling any pending idle spans first (the settle must see the
+    /// pre-mutation machine, so [`System::run`] calls this *before* each
+    /// driver poll).
     fn wake(&mut self) {
         self.settle();
-        self.skip_until = 0;
         self.core_wake.fill(0);
         self.hier_wake = 0;
     }
 
-    /// Advances the machine one CPU cycle.
+    /// Advances the machine one CPU cycle, or with `jump` across a whole
+    /// quiescent span.
     ///
     /// With `cycle_skip` on, cores and the cache hierarchy are ticked only
     /// when due — their certificate expired, they got input, or a probe
     /// finds work — and their idle cycles are credited in batches; the
-    /// whole cycle is elided when nothing at all is due. With it off,
+    /// cycle (or span) is elided when nothing at all is due. With it off,
     /// every component ticks every cycle: the reference the differential
     /// tests compare against.
-    pub fn step(&mut self) {
+    fn step(&mut self, jump: bool) {
         let gate = self.cfg.cycle_skip;
         if gate {
-            if self.clock < self.skip_until {
-                // Inside a certified span: the entire per-cycle cost is
-                // these two increments; crediting happens in `settle`.
-                self.skipped_cycles += 1;
-                self.clock += 1;
-                return;
-            }
             self.settle_elided();
-            if self.try_skip() {
+            if self.try_skip(jump) {
                 return;
             }
         }

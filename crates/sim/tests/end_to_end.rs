@@ -2,7 +2,6 @@
 //! loop, DMP-assisted baseline, and DX100-offloaded — on the full machine
 //! (cores + caches + DRAM + accelerator).
 
-use dx100_common::flags::FlagId;
 use dx100_common::DType;
 use dx100_core::isa::{Instruction, RegId, TileId};
 use dx100_core::{ArrayHandle, MemoryImage};
@@ -68,7 +67,6 @@ fn baseline_ops(s: &Setup, core: usize, cores: usize) -> Vec<CoreOp> {
 
 struct GatherDriver {
     state: u8,
-    flag: Option<FlagId>,
     a: ArrayHandle,
     b: ArrayHandle,
     n: u64,
@@ -90,18 +88,11 @@ impl Driver for GatherDriver {
                 );
                 let ild = Instruction::ild(DType::U32, self.a.base(), T1, T0);
                 sys.send_instruction(0, ild, Some(f));
+                // Core 0 blocks on the completion flag, so the cores drain
+                // only once the gather has retired.
                 sys.push_wait(0, f, false);
-                self.flag = Some(f);
                 self.state = 1;
-                DriverStatus::Running
-            }
-            1 => {
-                if sys.flag(self.flag.unwrap()) {
-                    self.state = 2;
-                    DriverStatus::Done
-                } else {
-                    DriverStatus::Running
-                }
+                DriverStatus::WaitCoresIdle
             }
             _ => DriverStatus::Done,
         }
@@ -115,7 +106,6 @@ fn dx100_gather_produces_correct_data() {
     let mut sys = System::new(SystemConfig::paper_dx100(), s.image);
     let mut driver = GatherDriver {
         state: 0,
-        flag: None,
         a: s.a,
         b: s.b,
         n: s.n,
@@ -184,7 +174,6 @@ fn dx100_beats_baseline_on_allmiss_gather() {
     let mut dx_sys = System::new(SystemConfig::paper_dx100(), s2.image);
     let mut driver = GatherDriver {
         state: 0,
-        flag: None,
         a: s2.a,
         b: s2.b,
         n,

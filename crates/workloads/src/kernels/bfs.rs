@@ -160,7 +160,9 @@ struct BfsDriver {
     depth: Vec<u32>,
     unvisited: Vec<u32>,
     d: u32,
-    state: u8, // 0 = start level, 1 = wait, 2 = rebuild, 3 = done
+    /// Whether a level is installed: every later poll (cores idle) finishes
+    /// it before starting the next.
+    started: bool,
 }
 
 impl BfsDriver {
@@ -350,33 +352,15 @@ impl BfsDriver {
 
 impl Driver for BfsDriver {
     fn poll(&mut self, sys: &mut System) -> DriverStatus {
-        loop {
-            match self.state {
-                0 => {
-                    if self.d == 0 {
-                        sys.roi_begin();
-                    }
-                    self.start_level(sys);
-                    self.state = 1;
-                    return DriverStatus::Running;
-                }
-                1 => {
-                    if !sys.cores_idle() {
-                        return DriverStatus::Running;
-                    }
-                    self.state = 2;
-                }
-                2 => {
-                    let more = self.finish_level(sys);
-                    self.state = if more { 0 } else { 3 };
-                    if self.state == 3 {
-                        sys.roi_end();
-                        return DriverStatus::Done;
-                    }
-                }
-                _ => return DriverStatus::Done,
-            }
+        if !self.started {
+            self.started = true;
+            sys.roi_begin();
+        } else if !self.finish_level(sys) {
+            sys.roi_end();
+            return DriverStatus::Done;
         }
+        self.start_level(sys);
+        DriverStatus::WaitCoresIdle
     }
 }
 
@@ -446,7 +430,7 @@ impl KernelRun for Bfs {
             depth,
             unvisited: (1..n as u32).collect(),
             d: 0,
-            state: 0,
+            started: false,
         };
         let stats = sys.run(&mut driver);
         let telemetry = sys.telemetry();

@@ -20,19 +20,12 @@ pub enum Phase {
     RoiBegin,
     /// End the measured region of interest.
     RoiEnd,
-    /// Poll a closure until it reports completion.
-    Poll(Box<dyn FnMut(&mut System) -> bool>),
 }
 
 impl Phase {
     /// Convenience constructor for [`Phase::Setup`].
     pub fn setup(f: impl FnOnce(&mut System) + 'static) -> Phase {
         Phase::Setup(Some(Box::new(f)))
-    }
-
-    /// Convenience constructor for [`Phase::Poll`].
-    pub fn poll(f: impl FnMut(&mut System) -> bool + 'static) -> Phase {
-        Phase::Poll(Box::new(f))
     }
 }
 
@@ -64,7 +57,7 @@ impl Driver for PhasedDriver {
                     if sys.cores_idle() {
                         self.idx += 1;
                     } else {
-                        return DriverStatus::Running;
+                        return DriverStatus::WaitCoresIdle;
                     }
                 }
                 Phase::RoiBegin => {
@@ -74,13 +67,6 @@ impl Driver for PhasedDriver {
                 Phase::RoiEnd => {
                     sys.roi_end();
                     self.idx += 1;
-                }
-                Phase::Poll(f) => {
-                    if f(sys) {
-                        self.idx += 1;
-                    } else {
-                        return DriverStatus::Running;
-                    }
                 }
             }
         }

@@ -13,7 +13,7 @@ use dx100::common::{DType, DelayQueue, LineAddr};
 use dx100::cpu::CoreOp;
 use dx100::dram::{DramConfig, DramSystem, MemRequest};
 use dx100::sim::driver::NullDriver;
-use dx100::sim::{System, SystemConfig};
+use dx100::sim::{Driver, DriverStatus, System, SystemConfig};
 use dx100::workloads::{all_kernels, Mode, Scale};
 use dx100_core::MemoryImage;
 use proptest::prelude::*;
@@ -265,6 +265,64 @@ fn core_set_flags_identical_skip_on_off() {
     assert!(tele_on.skipped_cycles > 0, "the chases should elide cycles");
 }
 
+/// Final cycle and `RunStats` of `driver` run over `image` on the
+/// (traced, epoch-sampled) baseline machine, after a first run with no
+/// work has drained it: the cores have found their programs empty, so the
+/// whole machine is quiescent when `driver` is first polled.
+fn run_on_drained(skip: bool, image: MemoryImage, driver: &mut dyn Driver) -> (u64, String) {
+    let mut sys = System::new(cfg_for(Mode::Baseline, skip), image);
+    sys.run(&mut NullDriver);
+    let stats = sys.run(driver);
+    (sys.now(), format!("{stats:?}"))
+}
+
+/// The run loop may jump the clock across a quiescent span only while the
+/// condition the driver waits on is false. On a drained machine a
+/// `NullDriver` run ends one cycle in, as tick by tick; a jump that
+/// ignored the rule would run on to the next epoch boundary or DRAM
+/// refresh.
+#[test]
+fn null_driver_on_drained_machine_identical_skip_on_off() {
+    let on = run_on_drained(true, MemoryImage::new(), &mut NullDriver);
+    let off = run_on_drained(false, MemoryImage::new(), &mut NullDriver);
+    assert_eq!(on, off, "final cycle or stats diverged with cycle skipping");
+}
+
+/// First poll: waits on cores that are already idle, so the next poll is
+/// due one cycle later. That poll gives core 0 a miss chain and finishes.
+struct WaitOnIdleCores {
+    ops: Vec<CoreOp>,
+    waited: bool,
+}
+
+impl Driver for WaitOnIdleCores {
+    fn poll(&mut self, sys: &mut System) -> DriverStatus {
+        if !std::mem::replace(&mut self.waited, true) {
+            return DriverStatus::WaitCoresIdle;
+        }
+        sys.push_ops(0, std::mem::take(&mut self.ops));
+        DriverStatus::Done
+    }
+}
+
+/// A wait that already holds must not let the clock jump: a jump to the
+/// next DRAM event would start the driver's work late and shift every
+/// cycle after it.
+#[test]
+fn wait_on_idle_cores_identical_skip_on_off() {
+    let run = |skip: bool| {
+        let mut image = MemoryImage::new();
+        let ops = chase(&mut image, "A", 5, 1 << 18, 16);
+        let mut driver = WaitOnIdleCores { ops, waited: false };
+        run_on_drained(skip, image, &mut driver)
+    };
+    assert_eq!(
+        run(true),
+        run(false),
+        "final cycle or stats diverged with cycle skipping"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -296,21 +354,26 @@ proptest! {
     /// system skip layer uses it: whenever `next_event(now)` names a future
     /// tick `t`, (a) ticking each cycle of the gap one-by-one and (b)
     /// jumping over it with `credit_idle_ticks` must leave bit-identical
-    /// statistics — including the cycle-attribution profile, whose elided
-    /// spans are batch-credited — and produce the same response schedule
-    /// for the rest of the run; and while approaching `t`, `next_event`
-    /// never moves the event later (no missed wakeups). The profile must
-    /// also stay MECE: every channel attributes exactly `ticks` ticks, no
-    /// matter how the random request stream carves the run into spans.
+    /// statistics — read right at `t`, before the next real tick, as well
+    /// as at the end, and including the cycle-attribution profile, whose
+    /// elided spans are batch-credited — and produce the same response
+    /// schedule for the rest of the run; and while approaching `t`,
+    /// `next_event` never moves the event later (no missed wakeups). The
+    /// profile must also stay MECE: every channel attributes exactly
+    /// `ticks` ticks, no matter how the random request stream carves the
+    /// run into spans.
     #[test]
     fn dram_gap_skip_equals_tick_by_tick(
         reqs in proptest::collection::vec((0u64..4096, any::<bool>()), 1usize..120),
         rate in 1usize..4,
     ) {
-        // (response id, tick) schedule plus final stats and profiles,
-        // driving with or without gap skipping.
-        type Driven = Result<(Vec<(u64, u64)>, String, String, u64), TestCaseError>;
-        let drive = |skip: bool| -> Driven {
+        // (response id, tick) schedule, (tick, stats) read where each gap
+        // ends, final stats and profiles, driving with or without gap
+        // skipping. Tick-by-tick, stats are read at the ticks in `gap_ends`
+        // (where the skipping run's gaps ended).
+        type Driven =
+            Result<(Vec<(u64, u64)>, Vec<(u64, String)>, String, String, u64), TestCaseError>;
+        let drive = |skip: bool, gap_ends: &[u64]| -> Driven {
             let mut dram = DramSystem::new(DramConfig::ddr4_3200_2ch());
             dram.enable_profile();
             let mut pending: VecDeque<(u64, LineAddr, bool)> = reqs
@@ -319,6 +382,7 @@ proptest! {
                 .map(|(i, (l, w))| (i as u64, LineAddr(*l), *w))
                 .collect();
             let mut schedule = Vec::new();
+            let mut gap_stats = Vec::new();
             let mut skipped = 0u64;
             let mut now = 0u64;
             while schedule.len() < reqs.len() {
@@ -349,8 +413,12 @@ proptest! {
                             dram.credit_idle_ticks(now, t - now);
                             skipped += t - now;
                             now = t;
+                            gap_stats.push((now, format!("{:?}", dram.stats())));
                         }
                     }
+                }
+                if !skip && gap_ends.get(gap_stats.len()) == Some(&now) {
+                    gap_stats.push((now, format!("{:?}", dram.stats())));
                 }
                 dram.tick(now);
                 while let Some(resp) = dram.pop_response() {
@@ -374,14 +442,17 @@ proptest! {
             }
             Ok((
                 schedule,
+                gap_stats,
                 format!("{:?}", dram.stats()),
                 format!("{:?}", profiles),
                 skipped,
             ))
         };
-        let (sched_skip, stats_skip, prof_skip, skipped) = drive(true)?;
-        let (sched_tick, stats_tick, prof_tick, _) = drive(false)?;
+        let (sched_skip, gaps_skip, stats_skip, prof_skip, skipped) = drive(true, &[])?;
+        let gap_ends: Vec<u64> = gaps_skip.iter().map(|&(t, _)| t).collect();
+        let (sched_tick, gaps_tick, stats_tick, prof_tick, _) = drive(false, &gap_ends)?;
         prop_assert_eq!(sched_skip, sched_tick, "response schedule diverged");
+        prop_assert_eq!(gaps_skip, gaps_tick, "DRAM stats read right after a credited gap diverged");
         prop_assert_eq!(stats_skip, stats_tick, "DRAM stats diverged (skipped {} ticks)", skipped);
         prop_assert_eq!(prof_skip, prof_tick, "DRAM attribution diverged (skipped {} ticks)", skipped);
     }

@@ -22,7 +22,7 @@ impl Driver for DrainDriver {
         if sys.cores_idle() {
             DriverStatus::Done
         } else {
-            DriverStatus::Running
+            DriverStatus::WaitCoresIdle
         }
     }
 }
